@@ -112,12 +112,16 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
                                   const ExecutionContext& ctx) {
   AutoQueryResult result;
   std::shared_ptr<util::Budget> budget = ctx.ResolveBudget();
+  // Every engine inherits ctx: thread count, the counters sink, the index
+  // cache and arena. Share the budget resolved here so all routes charge
+  // the same meters.
+  ExecutionContext sub = ctx;
+  sub.budget = budget;
   {
     static const std::uint32_t kYannakakisSpan =
         util::Trace::InternName("autosolver.yannakakis");
     util::ScopedSpan span(kYannakakisSpan);
-    auto yan = db::EvaluateYannakakis(query, db, nullptr, budget.get(),
-                                      ctx.index_cache, ctx.arena);
+    auto yan = db::EvaluateYannakakis(query, db, sub);
     if (yan.has_value()) {
       ctx.Count("yannakakis.output_tuples", yan->tuples.size());
       result.method = SolveMethod::kYannakakis;
@@ -138,8 +142,6 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
       static const std::uint32_t kHybridSpan =
           util::Trace::InternName("autosolver.hybrid_join");
       util::ScopedSpan hybrid_span(kHybridSpan);
-      ExecutionContext sub = ctx;
-      sub.budget = budget;
       db::HybridJoin hybrid(query, db, sub, ctx.hybrid_delta);
       result.plan = hybrid.plan();
       if (hybrid.applicable() && (ctx.hybrid_mode == HybridMode::kOn ||
@@ -157,12 +159,6 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
       util::Trace::InternName("autosolver.generic_join");
   util::ScopedSpan generic_join_span(kGenericJoinSpan);
   result.method = SolveMethod::kGenericJoin;
-  // GenericJoin inherits ctx: thread count for the parallel root partition
-  // and the counters sink for "generic_join.*" (search effort) and
-  // "trie.nodes" (index size, exported once at construction). Share the
-  // budget already resolved here so both paths charge the same meters.
-  ExecutionContext sub = ctx;
-  sub.budget = budget;
   db::GenericJoin join(query, db, sub);
   result.result = join.Evaluate();
   result.status = join.status();

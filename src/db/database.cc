@@ -1,6 +1,7 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <set>
 
@@ -58,12 +59,7 @@ std::uint64_t NextVersionStamp() {
 
 }  // namespace
 
-void Database::Touch(Rel& rel) {
-  rel.version = NextVersionStamp();
-  std::lock_guard<std::mutex> lock(rel.row_cache_mu);
-  rel.row_cache.clear();
-  rel.row_cache_version.store(0, std::memory_order_relaxed);
-}
+void Database::Touch(Rel& rel) { rel.version = NextVersionStamp(); }
 
 MutationResult Database::SetRelation(const std::string& name, int arity,
                                      std::vector<Tuple> tuples) {
@@ -126,12 +122,6 @@ Database Database::Clone() const {
     // Both sides now share one payload; whichever mutates first copies.
     copy.maybe_shared = true;
     rel.maybe_shared = true;
-    // Deliberately NOT carried: the source's materialized row_cache. The
-    // clone's Rel starts with an empty cache at row_cache_version 0, which
-    // can never equal a real version stamp (stamps start at 1), so the
-    // clone's first Tuples() call always rebuilds under its own lock —
-    // a copied cache paired with the copied version stamp would be read
-    // lock-free while the source may still be filling it.
   }
   return out;
 }
@@ -157,21 +147,8 @@ std::uint64_t Database::RelationVersion(const std::string& name) const {
   return it == relations_.end() ? 0 : it->second.version;
 }
 
-const std::vector<Tuple>& Database::Tuples(const std::string& name) const {
-  const Rel& rel = relations_.at(name);
-  // Double-checked lazy materialization: the acquire load pairs with the
-  // release store so a reader that observes the current version also
-  // observes the fully built row_cache. ThreadPool workers sharing one
-  // const Database may race here freely; mutations follow the class-level
-  // "mutate before sharing" contract.
-  if (rel.row_cache_version.load(std::memory_order_acquire) != rel.version) {
-    std::lock_guard<std::mutex> lock(rel.row_cache_mu);
-    if (rel.row_cache_version.load(std::memory_order_relaxed) != rel.version) {
-      rel.row_cache = rel.flat->ToRows();
-      rel.row_cache_version.store(rel.version, std::memory_order_release);
-    }
-  }
-  return rel.row_cache;
+std::vector<Tuple> Database::Tuples(const std::string& name) const {
+  return Flat(name).ToRows();
 }
 
 std::size_t Database::MaxRelationSize() const {
@@ -193,18 +170,6 @@ void JoinResult::Normalize() {
   tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
 }
 
-FlatRelation JoinResult::ToFlat() const {
-  return FlatRelation::FromRows(static_cast<int>(attributes.size()), tuples);
-}
-
-JoinResult JoinResult::FromFlat(std::vector<std::string> attributes,
-                                const FlatRelation& relation) {
-  JoinResult out;
-  out.attributes = std::move(attributes);
-  out.tuples = relation.ToRows();
-  return out;
-}
-
 bool TupleSatisfiesQuery(const JoinQuery& query, const Database& db,
                          const std::vector<std::string>& attrs,
                          const Tuple& tuple) {
@@ -216,10 +181,15 @@ bool TupleSatisfiesQuery(const JoinQuery& query, const Database& db,
       if (it == attrs.end()) std::abort();
       projection.push_back(tuple[it - attrs.begin()]);
     }
-    const auto& rel = db.Tuples(atom.relation);
-    if (std::find(rel.begin(), rel.end(), projection) == rel.end()) {
+    const FlatRelation& rel = db.Flat(atom.relation);
+    if (static_cast<std::size_t>(rel.arity()) != projection.size()) {
       return false;
     }
+    bool found = false;
+    for (std::size_t r = 0; r < rel.size() && !found; ++r) {
+      found = std::equal(projection.begin(), projection.end(), rel.Row(r));
+    }
+    if (!found) return false;
   }
   return true;
 }
@@ -237,7 +207,10 @@ JoinResult EvaluateNestedLoop(const JoinQuery& query, const Database& db) {
     for (std::size_t col = 0; col < atom.attributes.size(); ++col) {
       int ai = index[atom.attributes[col]];
       std::set<Value> column;
-      for (const auto& t : db.Tuples(atom.relation)) column.insert(t[col]);
+      const FlatRelation& rel = db.Flat(atom.relation);
+      for (std::size_t r = 0; r < rel.size(); ++r) {
+        column.insert(rel.At(r, static_cast<int>(col)));
+      }
       if (!seen[ai]) {
         candidates[ai].assign(column.begin(), column.end());
         seen[ai] = true;

@@ -1,11 +1,9 @@
 #ifndef QC_DB_DATABASE_H_
 #define QC_DB_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,14 +64,12 @@ struct JoinQuery {
 /// Storage is flat and columnar (FlatRelation): every relation is one
 /// contiguous Value array with arity stride. The engines (Generic Join's
 /// trie build, semijoins, enumeration) read the flat data directly via
-/// Flat(); the legacy row-wise Tuples() accessor materializes a cached
-/// vector<Tuple> on first use so existing callers stay source-compatible.
+/// Flat(); the row-wise Tuples() accessor copies the rows out on each call.
 ///
 /// Every successful mutation stamps the relation with a process-unique
-/// version (RelationVersion); derived read-side structures — the internal
-/// row cache and the shared trie IndexCache — key on that stamp, so any
-/// mutation path provably invalidates them without per-site cache-clearing
-/// code. Versions are unique across relations and Database instances, which
+/// version (RelationVersion); derived read-side structures — the shared
+/// trie IndexCache — key on that stamp, so any mutation path provably
+/// invalidates them without per-site cache-clearing code. Versions are unique across relations and Database instances, which
 /// makes (name, version) a safe cache key even when several databases reuse
 /// a relation name.
 ///
@@ -86,8 +82,8 @@ struct JoinQuery {
 /// db::MvccDatabase builds reader snapshots from.
 ///
 /// Threading contract: concurrent *const* access (Flat, Tuples, versions,
-/// lookups) from any number of threads is safe — Tuples() guards its lazy
-/// materialization internally. Mutations and Clone() are not synchronized
+/// lookups) from any number of threads is safe: const members never write.
+/// Mutations and Clone() are not synchronized
 /// against readers or each other: mutate/clone before sharing, or
 /// externally serialize them with reads (the same "arm before sharing"
 /// contract as util::Budget; MvccDatabase provides that serialization).
@@ -119,11 +115,9 @@ class Database {
   /// Number of tuples without materializing rows.
   std::size_t NumTuples(const std::string& name) const;
 
-  /// Legacy row-wise view; lazily materialized from the flat storage and
-  /// cached until the relation is next mutated (the cache is keyed on the
-  /// relation version, so every mutation path invalidates it). Safe to call
-  /// concurrently from many threads on a shared const Database.
-  const std::vector<Tuple>& Tuples(const std::string& name) const;
+  /// Row-wise copy of the relation (tests and text output; engines read
+  /// Flat()).
+  std::vector<Tuple> Tuples(const std::string& name) const;
 
   /// N = max number of tuples in any relation (0 for the empty database).
   std::size_t MaxRelationSize() const;
@@ -134,8 +128,7 @@ class Database {
   /// and keeps its version stamp. O(#relations) pointer copies — no tuple
   /// data moves until one side mutates a shared relation (that mutation
   /// pays one private copy of just that relation). Must be serialized with
-  /// mutations of *this* database (see the class threading contract); the
-  /// clone starts with cold row caches.
+  /// mutations of *this* database (see the class threading contract).
   Database Clone() const;
 
  private:
@@ -150,17 +143,9 @@ class Database {
     mutable bool maybe_shared = false;
     /// Stamp of the last mutation; see RelationVersion().
     std::uint64_t version = 0;
-    /// Lazy row-wise view: valid iff row_cache_version == version. The
-    /// acquire/release pair on row_cache_version publishes row_cache to
-    /// concurrent readers; row_cache_mu serializes the materialization.
-    mutable std::mutex row_cache_mu;
-    mutable std::vector<Tuple> row_cache;
-    mutable std::atomic<std::uint64_t> row_cache_version{0};
   };
 
-  /// Stamps `rel` with a fresh version after a mutation. The version bump
-  /// alone invalidates the row cache (version 0 never matches a stamp); the
-  /// stale rows are dropped eagerly to return their memory.
+  /// Stamps `rel` with a fresh version after a mutation.
   static void Touch(Rel& rel);
 
   std::map<std::string, Rel> relations_;
@@ -179,13 +164,6 @@ struct JoinResult {
   /// Sorts tuples (for order-insensitive comparison in tests) and removes
   /// duplicates.
   void Normalize();
-
-  /// Copies the tuples into flat columnar storage.
-  FlatRelation ToFlat() const;
-
-  /// Builds a result from flat storage (copies rows out).
-  static JoinResult FromFlat(std::vector<std::string> attributes,
-                             const FlatRelation& relation);
 };
 
 /// Reference evaluation by full nested-loop enumeration over the attribute

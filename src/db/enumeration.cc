@@ -1,10 +1,8 @@
 #include "db/enumeration.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "db/yannakakis.h"
-#include "kernels/sort.h"
 
 namespace qc::db {
 
@@ -28,8 +26,10 @@ AcyclicEnumerator::AcyclicEnumerator(const JoinQuery& query,
                                      IndexCache* cache,
                                      util::Arena* arena)
     : budget_(budget) {
-  std::vector<int> parent, bottom_up;
-  if (!BuildJoinTree(query, &parent, &bottom_up)) return;
+  // The linear preprocessing pass: the shared full reducer.
+  std::optional<FullReduction> red = ReduceAcyclicQuery(
+      query, db, Sweeps::kUpAndDown, budget_, cache, arena);
+  if (!red.has_value()) return;
   const int m = static_cast<int>(query.atoms.size());
   if (m == 0) {
     valid_ = true;
@@ -45,66 +45,18 @@ AcyclicEnumerator::AcyclicEnumerator(const JoinQuery& query,
     status_ = budget_->status();
     return true;
   };
-
-  // Materialize + full semijoin reduction (the linear preprocessing pass).
-  // The normalized (sorted, deduplicated) atom projection is exactly what a
-  // cached trie indexes, so a warm cache serves it back via ToFlat() with no
-  // scan or sort; atoms without attributes stay on the direct path (a trie
-  // cannot represent a non-empty arity-0 projection).
-  std::vector<JoinResult> rel(m);
-  for (int e = 0; e < m; ++e) {
-    if (budget_ != nullptr && budget_->Poll()) break;
-    const Atom& atom = query.atoms[e];
-    std::vector<std::string> attrs = AtomAttributes(atom);
-    if (cache != nullptr && !attrs.empty()) {
-      IndexCache::EntryPtr entry = cache->GetOrBuild(
-          atom.relation, db.RelationVersion(atom.relation),
-          AtomProjectionSignature(atom, attrs), [&]() {
-            IndexCache::Entry fresh;
-            FlatRelation proj =
-                MaterializeSortedProjection(atom, db, attrs, arena);
-            fresh.no_rows = proj.empty();
-            fresh.trie = TrieIndex(proj, arena);
-            return fresh;
-          });
-      rel[e] = JoinResult::FromFlat(attrs, entry->trie.ToFlat());
-    } else {
-      rel[e] = MaterializeAtom(atom, db);
-      rel[e].Normalize();
-    }
-  }
-  if (tripped()) return;
-  std::vector<bool> pristine(m, true);
-  for (int e : bottom_up) {
-    if (parent[e] >= 0) {
-      rel[parent[e]] = SemijoinAgainstAtom(rel[parent[e]], rel[e],
-                                           query.atoms[e], db,
-                                           pristine[e] ? cache : nullptr,
-                                           budget_, arena);
-      pristine[parent[e]] = false;
-    }
-  }
-  if (tripped()) return;
-  for (auto it = bottom_up.rbegin(); it != bottom_up.rend(); ++it) {
-    if (parent[*it] >= 0) {
-      rel[*it] = SemijoinAgainstAtom(
-          rel[*it], rel[parent[*it]], query.atoms[parent[*it]], db,
-          pristine[parent[*it]] ? cache : nullptr, budget_, arena);
-      pristine[*it] = false;
-    }
-  }
   if (tripped()) return;
 
   // Root-first order.
-  order_.assign(bottom_up.rbegin(), bottom_up.rend());
+  order_.assign(red->order.rbegin(), red->order.rend());
   nodes_.resize(m);
   for (int e = 0; e < m; ++e) {
     if (budget_ != nullptr && budget_->Poll()) break;
     TreeNode& node = nodes_[e];
-    node.parent = parent[e];
-    node.attrs = rel[e].attributes;
-    if (parent[e] >= 0) {
-      const auto& pattrs = rel[parent[e]].attributes;
+    node.parent = red->parent[e];
+    node.attrs = red->atoms[e].attributes;
+    if (node.parent >= 0) {
+      const auto& pattrs = red->atoms[node.parent].attributes;
       for (std::size_t i = 0; i < node.attrs.size(); ++i) {
         auto it = std::find(pattrs.begin(), pattrs.end(), node.attrs[i]);
         if (it != pattrs.end()) {
@@ -114,36 +66,11 @@ AcyclicEnumerator::AcyclicEnumerator(const JoinQuery& query,
         }
       }
     }
-    node.rows = rel[e].ToFlat();
-    // Sort by the projection onto the shared columns, then the rest:
-    // index sort over flat rows, one gather. The rows are distinct (fully
-    // reduced), so the shared-then-all-columns key is a strict total order
-    // and the radix kernel yields the identical permutation as the
-    // comparator for any row count.
-    std::vector<std::uint32_t> idx(node.rows.size());
-    std::iota(idx.begin(), idx.end(), 0u);
-    const int arity = node.rows.arity();
-    if (node.rows.size() >= kernels::kRadixMinRows && arity > 0) {
-      std::vector<std::int32_t> cols;
-      cols.reserve(node.shared_cols.size() + static_cast<std::size_t>(arity));
-      for (int c : node.shared_cols) cols.push_back(c);
-      for (int c = 0; c < arity; ++c) cols.push_back(c);
-      kernels::SortRowsByColumns(node.rows.data().data(),
-                                 static_cast<std::size_t>(arity),
-                                 node.rows.size(), cols.data(), cols.size(),
-                                 idx.data(), arena);
-    } else {
-      std::sort(idx.begin(), idx.end(),
-                [&node](std::uint32_t a, std::uint32_t b) {
-                  const Value* ra = node.rows.Row(a);
-                  const Value* rb = node.rows.Row(b);
-                  for (int c : node.shared_cols) {
-                    if (ra[c] != rb[c]) return ra[c] < rb[c];
-                  }
-                  return node.rows.View(a) < node.rows.View(b);
-                });
-    }
-    node.rows.ApplyPermutation(idx);
+    // The attributes a node shares with its parent precede its own in the
+    // reducer's root-first variable order, so shared_cols is a column
+    // prefix and the lex-sorted rows are already grouped by the shared key
+    // that Descend() binary-searches.
+    node.rows = std::move(red->atoms[e].rows);
   }
   if (tripped()) return;
   frames_.resize(m);

@@ -11,9 +11,9 @@
 namespace qc::db {
 
 /// Constant-delay enumeration for alpha-acyclic queries (Bagan–Durand–
-/// Grandjean [13], cited in Section 8): after a linear-time semijoin
-/// preprocessing pass (full Yannakakis reduction), answers are produced one
-/// at a time with per-answer delay independent of the database size. The
+/// Grandjean [13], cited in Section 8): after a linear-time preprocessing
+/// pass (the shared full reducer, ReduceAcyclicQuery), answers are produced
+/// one at a time with per-answer delay independent of the database size. The
 /// hyperclique conjecture rules this out for cyclic queries — experiment
 /// E16 measures exactly that contrast.
 class AcyclicEnumerator {
@@ -25,14 +25,13 @@ class AcyclicEnumerator {
   /// the cause; if it trips mid-enumeration, Next() returns nullopt early —
   /// distinguish exhaustion from a trip via status().
   ///
-  /// `cache` (optional, not owned) is the shared trie-index cache: when set,
-  /// preprocessing loads each atom's sorted projection from a warm cache
-  /// entry (skipping the scan+sort) and probes cached key-set tries in the
-  /// semijoin sweeps for pristine sides. The enumeration order and answers
-  /// are bit-identical with or without it.
+  /// `cache` (optional, not owned) is the shared trie-index cache, passed to
+  /// the reducer: a warm cache serves each atom's sorted projection and the
+  /// key sets of unshrunk semijoin sides with no scan or sort. The
+  /// enumeration order and answers are bit-identical with or without it.
   ///
   /// `arena` (optional, not owned; only used during construction) backs the
-  /// preprocessing scratch: sort-kernel buffers and semijoin key sorts.
+  /// reducer's sort and trie-build scratch.
   AcyclicEnumerator(const JoinQuery& query, const Database& db,
                     util::Budget* budget = nullptr,
                     IndexCache* cache = nullptr,
@@ -62,16 +61,16 @@ class AcyclicEnumerator {
 
   bool valid_ = false;
   std::vector<std::string> attributes_;
-  /// Join-tree nodes in root-first order; each holds its reduced relation,
-  /// sorted by the projection onto the parent's shared attributes.
+  /// Join-tree nodes; each holds its reduced relation, whose columns start
+  /// with the attributes shared with the parent.
   struct TreeNode {
     int parent = -1;
     std::vector<std::string> attrs;
     std::vector<int> shared_cols;        ///< Columns shared with the parent.
     std::vector<int> parent_shared_cols; ///< Matching columns in the parent.
-    /// Reduced relation in flat storage, sorted by the projection onto
-    /// shared_cols and then by the full row — Descend() binary-searches the
-    /// shared-key block without materializing projection keys.
+    /// Reduced relation in flat storage, lex-sorted with shared_cols as a
+    /// column prefix — Descend() binary-searches the shared-key block
+    /// without materializing projection keys.
     FlatRelation rows;
   };
   std::vector<TreeNode> nodes_;

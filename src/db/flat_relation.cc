@@ -86,30 +86,6 @@ void FlatRelation::SortLexAndDedup(SortPolicy policy, util::Arena* scratch) {
   size_ = kept;
 }
 
-bool SortedContains(const FlatRelation& sorted, const Value* row) {
-  const int r = sorted.arity();
-  std::size_t lo = 0, hi = sorted.size();
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    const Value* m = sorted.Row(mid);
-    int cmp = 0;
-    for (int i = 0; i < r; ++i) {
-      if (m[i] != row[i]) {
-        cmp = m[i] < row[i] ? -1 : 1;
-        break;
-      }
-    }
-    if (cmp == 0) return true;
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  // Arity-0 rows are all equal: present iff the relation is nonempty.
-  return r == 0 && !sorted.empty();
-}
-
 void FlatRelation::ApplyPermutation(const std::vector<std::uint32_t>& perm) {
   std::vector<Value> out;
   out.reserve(data_.size());

@@ -103,11 +103,6 @@ class FlatRelation {
   std::vector<Value> data_;
 };
 
-/// Binary-searches a lexicographically sorted relation for an exact row
-/// (`row` points at arity() values). The flat membership primitive behind
-/// semijoins and set difference — no per-probe key allocation.
-bool SortedContains(const FlatRelation& sorted, const Value* row);
-
 }  // namespace qc::db
 
 #endif  // QC_DB_FLAT_RELATION_H_

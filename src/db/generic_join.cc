@@ -12,9 +12,43 @@
 
 namespace qc::db {
 
+namespace {
+
+/// `given`'s rows with columns gathered into `attrs` order, sorted and
+/// deduplicated: the relation a trie over the atom indexes.
+FlatRelation SortedColumns(AtomRows given,
+                           const std::vector<std::string>& attrs,
+                           util::Arena* arena) {
+  FlatRelation out;
+  if (given.attributes == attrs) {
+    out = std::move(given.rows);
+  } else {
+    std::vector<int> src;
+    src.reserve(attrs.size());
+    for (const auto& a : attrs) {
+      src.push_back(static_cast<int>(
+          std::find(given.attributes.begin(), given.attributes.end(), a) -
+          given.attributes.begin()));
+    }
+    out = FlatRelation(static_cast<int>(attrs.size()));
+    out.Reserve(given.rows.size());
+    Tuple buffer(src.size());
+    for (std::size_t r = 0; r < given.rows.size(); ++r) {
+      const Value* row = given.rows.Row(r);
+      for (std::size_t c = 0; c < src.size(); ++c) buffer[c] = row[src[c]];
+      out.PushRow(buffer.data());
+    }
+  }
+  out.SortLexAndDedup(FlatRelation::SortPolicy::kAuto, arena);
+  return out;
+}
+
+}  // namespace
+
 GenericJoin::GenericJoin(const JoinQuery& query, const Database& db,
                          std::vector<std::string> attribute_order,
-                         const ExecutionContext& ctx)
+                         const ExecutionContext& ctx,
+                         std::vector<std::optional<AtomRows>> direct)
     : ctx_(ctx) {
   attribute_order_ = attribute_order.empty() ? query.AttributeOrder()
                                              : std::move(attribute_order);
@@ -38,7 +72,10 @@ GenericJoin::GenericJoin(const JoinQuery& query, const Database& db,
   // records only actual builds and is absent from a fully warm run.
   std::optional<util::ScopedSpan> all_builds_span;
   if (cache == nullptr) all_builds_span.emplace(kBuildSpan);
-  for (const auto& atom : query.atoms) {
+  for (std::size_t i = 0; i < query.atoms.size(); ++i) {
+    const Atom& atom = query.atoms[i];
+    std::optional<AtomRows>* given =
+        i < direct.size() && direct[i].has_value() ? &direct[i] : nullptr;
     AtomIndex idx;
     // Deduplicated schema + equality filtering for repeated attributes,
     // columns permuted into global order: the atom's distinct attributes
@@ -58,15 +95,17 @@ GenericJoin::GenericJoin(const JoinQuery& query, const Database& db,
       // ctx.arena backs the sort and trie-build scratch; the entry itself
       // owns its memory, so a cached trie never outlives into the arena.
       FlatRelation flat =
-          MaterializeSortedProjection(atom, db, ordered, ctx_.arena);
+          given != nullptr
+              ? SortedColumns(std::move(**given), ordered, ctx_.arena)
+              : MaterializeSortedProjection(atom, db, ordered, ctx_.arena);
       entry.no_rows = flat.empty();
       entry.trie = TrieIndex(flat, ctx_.arena);
       return entry;
     };
-    if (cache != nullptr) {
+    if (cache != nullptr && given == nullptr) {
       // Hit/miss/eviction accounting lives in the cache itself (exported
-      // once per tool via ExportCounters/ExportMetrics, not per engine run,
-      // so shared-cache totals are never double-counted).
+      // once per tool via ExportCounters, not per engine run, so
+      // shared-cache totals are never double-counted).
       idx.entry = cache->GetOrBuild(atom.relation,
                                     db.RelationVersion(atom.relation),
                                     AtomProjectionSignature(atom, ordered),

@@ -38,6 +38,16 @@ struct GenericJoinStats {
   }
 };
 
+/// One atom's rows handed to GenericJoin in place of the atom's relation:
+/// `attributes` names the columns (the atom's distinct attributes, in any
+/// order), and the rows may be unsorted and may repeat. Their trie is private
+/// to the join and never enters ctx.index_cache, whose version-keyed entries
+/// describe whole relations only.
+struct AtomRows {
+  std::vector<std::string> attributes;
+  FlatRelation rows;
+};
+
 /// Worst-case-optimal join in the Generic Join / Leapfrog Triejoin family
 /// (Theorem 3.3, [54, 61]): attributes are bound one at a time in a global
 /// order; at each step the candidate values are the intersection of the
@@ -76,13 +86,17 @@ struct GenericJoinStats {
 /// on a miss — a warm cache skips materialize+sort+build entirely, and the
 /// per-build "generic_join.build_trie" span is absent on hits. Answers and
 /// stats are bit-identical with or without the cache at any thread count.
+/// Atoms given as `direct` rows (AtomRows) always build a private trie.
 class GenericJoin {
  public:
   /// Prepares sorted tries for `query` over `db`. If `attribute_order` is
-  /// empty, the first-appearance order is used.
+  /// empty, the first-appearance order is used. `direct` is empty or holds
+  /// one entry per atom; a filled entry supplies that atom's rows instead of
+  /// its relation in `db`.
   GenericJoin(const JoinQuery& query, const Database& db,
               std::vector<std::string> attribute_order = {},
-              const ExecutionContext& ctx = ExecutionContext());
+              const ExecutionContext& ctx = ExecutionContext(),
+              std::vector<std::optional<AtomRows>> direct = {});
 
   /// Convenience: default attribute order with an execution context.
   GenericJoin(const JoinQuery& query, const Database& db,
@@ -113,8 +127,8 @@ class GenericJoin {
  private:
   /// One atom's index. The trie lives behind an IndexCache entry pointer in
   /// both modes: with ctx.index_cache set the entry may be shared with other
-  /// evaluations (warm hits skip the build entirely); without a cache the
-  /// constructor builds a private entry. Either way the trie is immutable
+  /// evaluations (warm hits skip the build entirely); without a cache, or for
+  /// direct rows, the constructor builds a private entry. Either way the trie is immutable
   /// for this object's lifetime — eviction can't invalidate it.
   struct AtomIndex {
     std::vector<int> attr_positions;  ///< Global order index per trie level.

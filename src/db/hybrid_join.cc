@@ -282,10 +282,9 @@ void HybridJoin::EnsureLightParts() {
   // light, attribute-j columns for j < i are heavy, and later columns are
   // unrestricted. A result tuple lands in exactly the partition of its
   // first light attribute, so the parts (and the all-heavy core) are
-  // disjoint. Sub-relations get planner-private names and fresh version
-  // stamps, and the sub-evaluations detach ctx.index_cache — they can never
-  // alias the parent relation's cache entries. Built lazily: an auto-mode
-  // rejection never pays for the filtered copies.
+  // disjoint. The filtered rows go to GenericJoin as direct atom rows, so
+  // their tries stay private to the sub-evaluation. Built lazily: an
+  // auto-mode rejection never pays for the filtered copies.
   light_parts_.resize(k);
   for (int i = 0; i < k; ++i) {
     LightPart& part = light_parts_[i];
@@ -312,9 +311,9 @@ void HybridJoin::EnsureLightParts() {
       }
       if (filtered.empty()) part.has_empty_atom = true;
       plan_.light_tuples += filtered.size();
-      const std::string name = "__hyb" + std::to_string(a);
-      part.query.Add(name, {attribute_order_[pa.u], attribute_order_[pa.v]});
-      part.db.SetRelation(name, std::move(filtered));
+      part.atoms.push_back(
+          AtomRows{{attribute_order_[pa.u], attribute_order_[pa.v]},
+                   std::move(filtered)});
     }
   }
   ctx_.Count("hybrid.light_tuples", plan_.light_tuples);
@@ -355,10 +354,7 @@ void HybridJoin::RunLight(Mode mode, std::vector<Tuple>* out,
     if (Stopped()) return;
     if (mode == Mode::kIsEmpty && *found) return;
     if (part.has_empty_atom) continue;
-    ExecutionContext sub = ctx_;
-    sub.budget = budget_;
-    sub.index_cache = nullptr;  // never cache single-use partitions
-    GenericJoin gj(part.query, part.db, attribute_order_, sub);
+    GenericJoin gj(query_, db_, attribute_order_, ctx_, part.atoms);
     switch (mode) {
       case Mode::kEvaluate: {
         JoinResult r = gj.Evaluate();

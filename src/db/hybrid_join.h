@@ -4,12 +4,14 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/context.h"
 #include "db/database.h"
+#include "db/generic_join.h"
 #include "graph/boolmatrix.h"
 #include "util/budget.h"
 
@@ -67,13 +69,12 @@ struct HybridPlan {
 /// sums them and Evaluate's final sort+dedup merge reproduces GenericJoin's
 /// output bit-identically at any thread count and any QC_SIMD level.
 ///
-/// Cache seam: the light residuals are materialized into fresh sub-relations
-/// with planner-private names and freshly stamped versions, and their
-/// sub-evaluations run with ctx.index_cache detached — partition tries never
-/// alias the parent relation's version-keyed IndexCache entries (and never
-/// pollute the shared cache with single-use partitions). Only the delegated
-/// all-light fast path, which evaluates the *original* atoms, uses the
-/// shared cache.
+/// Cache seam: each light residual hands its filtered atom rows to
+/// GenericJoin directly (AtomRows), which indexes them in private tries that
+/// never enter ctx.index_cache — partition tries never alias the parent
+/// relation's version-keyed entries, and single-use partitions never pollute
+/// the shared cache. Only the delegated all-light fast path, which evaluates
+/// the *original* atoms, uses the shared cache.
 ///
 /// Budget: both phases observe the budget resolved from `ctx` (the light
 /// residuals through GenericJoin's per-node poll, the heavy phase per MM
@@ -134,11 +135,9 @@ class HybridJoin {
     bool IsHeavy(Value value) const { return index.count(value) != 0; }
   };
 
-  /// One light residual: a private sub-database (planner-named relations,
-  /// fresh versions) plus the restricted query over it.
+  /// One light residual: the restricted rows of every atom.
   struct LightPart {
-    Database db;
-    JoinQuery query;
+    std::vector<std::optional<AtomRows>> atoms;
     bool has_empty_atom = false;  ///< Some restriction emptied an atom.
   };
 

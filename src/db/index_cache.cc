@@ -123,15 +123,4 @@ void IndexCache::ExportCounters(util::Counters* sink) const {
   sink->Set("index_cache.capacity_bytes", s.capacity_bytes);
 }
 
-void IndexCache::ExportMetrics(util::MetricsRegistry* registry) const {
-  IndexCacheStats s = stats();
-  registry->AddCounter("index_cache.hits", s.hits);
-  registry->AddCounter("index_cache.misses", s.misses);
-  registry->AddCounter("index_cache.evictions", s.evictions);
-  registry->AddCounter("index_cache.rejected", s.rejected);
-  registry->SetGauge("index_cache.bytes", s.bytes);
-  registry->SetGauge("index_cache.entries", s.entries);
-  registry->SetGauge("index_cache.capacity_bytes", s.capacity_bytes);
-}
-
 }  // namespace qc::db

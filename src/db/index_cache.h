@@ -11,7 +11,6 @@
 
 #include "db/trie_index.h"
 #include "util/counters.h"
-#include "util/metrics.h"
 
 namespace qc::db {
 
@@ -56,9 +55,9 @@ struct IndexCacheStats {
 /// duplicated work, never duplicated memory or inconsistent state.
 ///
 /// Observability: every lookup records an `index_cache.hit` or
-/// `index_cache.miss` trace span (count markers in the PR-4 span tree), and
-/// ExportCounters/ExportMetrics publish the "index_cache.*" counter/gauge
-/// split into the unified Counters / MetricsRegistry surfaces.
+/// `index_cache.miss` trace span (count markers in the span tree), and
+/// ExportCounters publishes the "index_cache.*" counter/gauge split into the
+/// unified Counters surface.
 class IndexCache {
  public:
   /// One immutable cached index over a sorted, deduplicated projection.
@@ -91,7 +90,6 @@ class IndexCache {
   /// Publishes "index_cache.{hits,misses,evictions,rejected}" as counters
   /// and "index_cache.{bytes,entries,capacity_bytes}" as gauges.
   void ExportCounters(util::Counters* sink) const;
-  void ExportMetrics(util::MetricsRegistry* registry) const;
 
  private:
   struct Slot {

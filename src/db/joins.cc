@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
 namespace qc::db {
 
@@ -55,40 +54,6 @@ JoinResult MaterializeAtom(const Atom& atom, const Database& db) {
     projected.reserve(cols.keep_cols.size());
     for (int c : cols.keep_cols) projected.push_back(row[c]);
     out.tuples.push_back(std::move(projected));
-  }
-  return out;
-}
-
-FlatRelation MaterializeAtomFlat(const Atom& atom, const Database& db,
-                                 const std::map<std::string, int>& global_order,
-                                 std::vector<int>* attr_positions) {
-  AtomColumns cols = AnalyzeAtomColumns(atom);
-  // Permute the kept columns into global attribute-order position.
-  std::vector<int> perm(cols.attributes.size());
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](int a, int b) {
-    return global_order.at(cols.attributes[a]) <
-           global_order.at(cols.attributes[b]);
-  });
-  attr_positions->clear();
-  attr_positions->reserve(perm.size());
-  std::vector<int> src_cols;
-  src_cols.reserve(perm.size());
-  for (int k : perm) {
-    attr_positions->push_back(global_order.at(cols.attributes[k]));
-    src_cols.push_back(cols.keep_cols[k]);
-  }
-  const FlatRelation& rel = db.Flat(atom.relation);
-  FlatRelation out(static_cast<int>(src_cols.size()));
-  out.Reserve(rel.size());
-  Tuple buffer(src_cols.size());
-  for (std::size_t r = 0; r < rel.size(); ++r) {
-    const Value* row = rel.Row(r);
-    if (!RowPassesEquality(row, cols)) continue;
-    for (std::size_t c = 0; c < src_cols.size(); ++c) {
-      buffer[c] = row[src_cols[c]];
-    }
-    out.PushRow(buffer.data());
   }
   return out;
 }

@@ -46,16 +46,6 @@ JoinResult EvaluateGreedyBinaryJoin(const JoinQuery& query, const Database& db,
 /// Attributes keep their first-occurrence order; rows keep database order.
 JoinResult MaterializeAtom(const Atom& atom, const Database& db);
 
-/// Flat-columnar atom materialization for the trie engine: repeated
-/// attributes are equality-filtered and deduplicated as in MaterializeAtom,
-/// but the kept columns are permuted into `global_order` position order and
-/// the rows land directly in flat storage (no per-tuple allocation).
-/// Writes the global position of each output column to *attr_positions
-/// (strictly increasing). Rows preserve database order; callers sort.
-FlatRelation MaterializeAtomFlat(const Atom& atom, const Database& db,
-                                 const std::map<std::string, int>& global_order,
-                                 std::vector<int>* attr_positions);
-
 /// Distinct attributes of `atom` in first-occurrence order — the schema
 /// MaterializeAtom produces.
 std::vector<std::string> AtomAttributes(const Atom& atom);

@@ -314,7 +314,8 @@ MutationResult MvccDatabase::CompactWal(
 }
 
 bool MvccDatabase::MaybeCompactWal(
-    const std::vector<std::uint64_t>& request_ids, std::string* error) {
+    const std::function<std::vector<std::uint64_t>()>& request_ids,
+    std::string* error) {
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_ == nullptr) return false;
   const std::uint64_t threshold = wal_->options().compact_bytes;
@@ -322,7 +323,7 @@ bool MvccDatabase::MaybeCompactWal(
   std::vector<WalRecord> extras;
   if (views_ != nullptr) extras = views_->DefinitionRecords();
   std::string local;
-  if (!wal_->Compact(db_, request_ids, extras, &local)) {
+  if (!wal_->Compact(db_, request_ids(), extras, &local)) {
     if (error != nullptr) *error = local;
     return false;
   }

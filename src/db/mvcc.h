@@ -153,10 +153,13 @@ class MvccDatabase {
   MutationResult CompactWal(const std::vector<std::uint64_t>& request_ids);
 
   /// CompactWal iff the attached WAL's log has outgrown
-  /// WalOptions::compact_bytes (0 = never). Returns true when a compaction
-  /// ran and succeeded.
-  bool MaybeCompactWal(const std::vector<std::uint64_t>& request_ids,
-                       std::string* error);
+  /// WalOptions::compact_bytes (0 = never). `request_ids` is called under
+  /// the same writer-lock hold that snapshots the data, so a dedup window
+  /// maintained inside mutations cannot miss an id whose data the
+  /// snapshot holds. Returns true when a compaction ran and succeeded.
+  bool MaybeCompactWal(
+      const std::function<std::vector<std::uint64_t>()>& request_ids,
+      std::string* error);
 
   /// Pins the current state. Lock held only for the (cheap) clone; the
   /// returned snapshot is immutable and safe to read from any thread with

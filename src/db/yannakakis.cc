@@ -1,8 +1,10 @@
 #include "db/yannakakis.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 
+#include "db/generic_join.h"
 #include "graph/hypergraph.h"
 #include "util/trace.h"
 
@@ -39,89 +41,203 @@ bool IsAcyclicQuery(const JoinQuery& query) {
   return graph::IsAlphaAcyclic(h);
 }
 
-JoinResult Semijoin(const JoinResult& a, const JoinResult& b,
-                    util::Budget* budget, util::Arena* arena) {
+namespace {
+
+/// a ⋉ b in place: keeps the rows of `a` whose projection onto the
+/// attributes shared with `b` occurs in `b`, marking `a` shrunk when any row
+/// goes. The key set is a trie over b's projection; while b is unshrunk it
+/// equals the projection of b's relation, so with a cache it is fetched by
+/// relation version and shared across calls and runs. Polls `budget` once
+/// per probed row and stops at a trip.
+void SemijoinInPlace(ReducedAtom* a, const ReducedAtom& b, const Atom& b_atom,
+                     const Database& db, IndexCache* cache,
+                     util::Budget* budget, util::Arena* arena) {
+  std::vector<std::string> shared;
   std::vector<int> a_cols, b_cols;
-  for (std::size_t i = 0; i < a.attributes.size(); ++i) {
-    auto it =
-        std::find(b.attributes.begin(), b.attributes.end(), a.attributes[i]);
-    if (it != b.attributes.end()) {
-      a_cols.push_back(static_cast<int>(i));
-      b_cols.push_back(static_cast<int>(it - b.attributes.begin()));
+  for (std::size_t j = 0; j < b.attributes.size(); ++j) {
+    auto it = std::find(a->attributes.begin(), a->attributes.end(),
+                        b.attributes[j]);
+    if (it == a->attributes.end()) continue;
+    shared.push_back(b.attributes[j]);
+    b_cols.push_back(static_cast<int>(j));
+    a_cols.push_back(static_cast<int>(it - a->attributes.begin()));
+  }
+  const std::size_t before = a->rows.size();
+  if (shared.empty()) {
+    // No shared attributes: keep all of a iff b is nonempty.
+    if (b.rows.empty()) a->rows.Clear();
+  } else {
+    Tuple key(shared.size());
+    auto build = [&]() {
+      FlatRelation keys(static_cast<int>(shared.size()));
+      keys.Reserve(b.rows.size());
+      for (std::size_t r = 0; r < b.rows.size(); ++r) {
+        const Value* row = b.rows.Row(r);
+        for (std::size_t i = 0; i < b_cols.size(); ++i) key[i] = row[b_cols[i]];
+        keys.PushRow(key.data());
+      }
+      keys.SortLexAndDedup(FlatRelation::SortPolicy::kAuto, arena);
+      IndexCache::Entry entry;
+      entry.no_rows = keys.empty();
+      entry.trie = TrieIndex(keys, arena);
+      return entry;
+    };
+    IndexCache::EntryPtr keys =
+        cache != nullptr && !b.shrunk
+            ? cache->GetOrBuild(b_atom.relation,
+                                db.RelationVersion(b_atom.relation),
+                                AtomProjectionSignature(b_atom, shared), build)
+            : std::make_shared<const IndexCache::Entry>(build());
+    FlatRelation kept(a->rows.arity());
+    kept.Reserve(before);
+    for (std::size_t r = 0; r < before; ++r) {
+      if (budget != nullptr && budget->Poll()) break;
+      const Value* row = a->rows.Row(r);
+      for (std::size_t i = 0; i < a_cols.size(); ++i) key[i] = row[a_cols[i]];
+      if (keys->trie.ContainsRow(key.data())) kept.PushRow(row);
     }
+    a->rows = std::move(kept);
   }
-  JoinResult out;
-  out.attributes = a.attributes;
-  out.truncated = a.truncated || b.truncated;
-  if (a_cols.empty()) {
-    // No shared attributes: keep all of A iff B is nonempty.
-    if (!b.tuples.empty()) out.tuples = a.tuples;
-    return out;
-  }
-  // Flat sorted key set from B, probed by binary search: no per-tuple key
-  // allocation on either side.
-  FlatRelation keys(static_cast<int>(b_cols.size()));
-  keys.Reserve(b.tuples.size());
-  Tuple key(b_cols.size());
-  for (const auto& t : b.tuples) {
-    for (std::size_t i = 0; i < b_cols.size(); ++i) key[i] = t[b_cols[i]];
-    keys.PushRow(key.data());
-  }
-  keys.SortLexAndDedup(FlatRelation::SortPolicy::kAuto, arena);
-  for (const auto& t : a.tuples) {
-    if (budget != nullptr && budget->Poll()) {
-      out.truncated = true;
-      break;
-    }
-    for (std::size_t i = 0; i < a_cols.size(); ++i) key[i] = t[a_cols[i]];
-    if (SortedContains(keys, key.data())) out.tuples.push_back(t);
-  }
-  return out;
+  if (a->rows.size() < before) a->shrunk = true;
 }
 
-JoinResult SemijoinAgainstAtom(const JoinResult& a, const JoinResult& b,
-                               const Atom& b_atom, const Database& db,
-                               IndexCache* cache, util::Budget* budget,
-                               util::Arena* arena) {
-  if (cache == nullptr) return Semijoin(a, b, budget, arena);
-  std::vector<int> a_cols;
-  std::vector<std::string> shared;
-  for (std::size_t i = 0; i < a.attributes.size(); ++i) {
-    if (std::find(b.attributes.begin(), b.attributes.end(), a.attributes[i]) !=
-        b.attributes.end()) {
-      a_cols.push_back(static_cast<int>(i));
-      shared.push_back(a.attributes[i]);
+bool Stopped(const util::Budget* budget) {
+  return budget != nullptr && budget->Stopped();
+}
+
+}  // namespace
+
+std::optional<FullReduction> ReduceAcyclicQuery(const JoinQuery& query,
+                                                const Database& db,
+                                                Sweeps sweeps,
+                                                util::Budget* budget,
+                                                IndexCache* cache,
+                                                util::Arena* arena) {
+  FullReduction red;
+  if (!BuildJoinTree(query, &red.parent, &red.order)) return std::nullopt;
+  const int m = static_cast<int>(query.atoms.size());
+  std::map<std::string, int> position;
+  for (auto it = red.order.rbegin(); it != red.order.rend(); ++it) {
+    for (const auto& a : query.atoms[*it].attributes) {
+      if (position.emplace(a, static_cast<int>(red.variables.size())).second) {
+        red.variables.push_back(a);
+      }
     }
   }
-  JoinResult out;
-  out.attributes = a.attributes;
-  out.truncated = a.truncated || b.truncated;
-  if (a_cols.empty()) {
-    if (!b.tuples.empty()) out.tuples = a.tuples;
+  // One span per phase of Theorem 4.1's evaluation, shared by every caller
+  // of the reducer.
+  static const std::uint32_t kMaterializeSpan =
+      util::Trace::InternName("yannakakis.materialize");
+  static const std::uint32_t kUpSpan =
+      util::Trace::InternName("yannakakis.semijoin_up");
+  static const std::uint32_t kDownSpan =
+      util::Trace::InternName("yannakakis.semijoin_down");
+  red.atoms.resize(m);
+  {
+    util::ScopedSpan span(kMaterializeSpan);
+    for (int e = 0; e < m; ++e) {
+      if (budget != nullptr && budget->Poll()) return red;
+      const Atom& atom = query.atoms[e];
+      ReducedAtom& ra = red.atoms[e];
+      ra.attributes = AtomAttributes(atom);
+      std::sort(ra.attributes.begin(), ra.attributes.end(),
+                [&](const std::string& x, const std::string& y) {
+                  return position.at(x) < position.at(y);
+                });
+      // The sorted projection is exactly what the atom's cached trie
+      // indexes (GenericJoin keys the same signature), so a warm cache
+      // serves it back with no scan or sort. A trie cannot represent a
+      // nonempty arity-0 projection; those atoms stay on the direct path.
+      if (cache != nullptr && !ra.attributes.empty()) {
+        IndexCache::EntryPtr entry = cache->GetOrBuild(
+            atom.relation, db.RelationVersion(atom.relation),
+            AtomProjectionSignature(atom, ra.attributes), [&]() {
+              IndexCache::Entry fresh;
+              FlatRelation proj =
+                  MaterializeSortedProjection(atom, db, ra.attributes, arena);
+              fresh.no_rows = proj.empty();
+              fresh.trie = TrieIndex(proj, arena);
+              return fresh;
+            });
+        ra.rows = entry->trie.ToFlat();
+      } else {
+        ra.rows = MaterializeSortedProjection(atom, db, ra.attributes, arena);
+      }
+    }
+  }
+  {
+    util::ScopedSpan span(kUpSpan);
+    for (int e : red.order) {
+      const int p = red.parent[e];
+      if (p < 0) continue;
+      SemijoinInPlace(&red.atoms[p], red.atoms[e], query.atoms[e], db, cache,
+                      budget, arena);
+      if (Stopped(budget)) return red;
+    }
+  }
+  if (sweeps == Sweeps::kUp) return red;
+  {
+    util::ScopedSpan span(kDownSpan);
+    for (auto it = red.order.rbegin(); it != red.order.rend(); ++it) {
+      const int p = red.parent[*it];
+      if (p < 0) continue;
+      SemijoinInPlace(&red.atoms[*it], red.atoms[p], query.atoms[p], db,
+                      cache, budget, arena);
+      if (Stopped(budget)) return red;
+    }
+  }
+  return red;
+}
+
+std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
+                                             const Database& db,
+                                             const ExecutionContext& ctx,
+                                             JoinStats* stats) {
+  std::shared_ptr<util::Budget> budget = ctx.ResolveBudget();
+  std::optional<FullReduction> red = ReduceAcyclicQuery(
+      query, db, Sweeps::kUpAndDown, budget.get(), ctx.index_cache, ctx.arena);
+  if (!red.has_value()) return std::nullopt;
+  const std::vector<std::string> want = query.AttributeOrder();
+  if (budget->Stopped()) {
+    JoinResult out;
+    out.attributes = want;
+    out.truncated = true;
     return out;
   }
-  // Because `b` is b_atom's pristine materialization, its projection onto
-  // the shared attributes — what Semijoin would sort per call — equals
-  // MaterializeSortedProjection(b_atom, ..., shared), which the cache keys
-  // by relation version + signature and shares across calls and sweeps.
-  IndexCache::EntryPtr keys = cache->GetOrBuild(
-      b_atom.relation, db.RelationVersion(b_atom.relation),
-      AtomProjectionSignature(b_atom, shared), [&]() {
-        IndexCache::Entry entry;
-        FlatRelation proj =
-            MaterializeSortedProjection(b_atom, db, shared, arena);
-        entry.no_rows = proj.empty();
-        entry.trie = TrieIndex(proj, arena);
-        return entry;
-      });
-  Tuple key(a_cols.size());
-  for (const auto& t : a.tuples) {
-    if (budget != nullptr && budget->Poll()) {
-      out.truncated = true;
-      break;
+  static const std::uint32_t kJoinSpan =
+      util::Trace::InternName("yannakakis.join");
+  util::ScopedSpan span(kJoinSpan);
+  std::vector<std::optional<AtomRows>> direct(red->atoms.size());
+  for (std::size_t e = 0; e < red->atoms.size(); ++e) {
+    ReducedAtom& ra = red->atoms[e];
+    if (stats != nullptr) {
+      stats->intermediate_tuples += ra.rows.size();
+      stats->max_intermediate =
+          std::max<std::uint64_t>(stats->max_intermediate, ra.rows.size());
     }
-    for (std::size_t i = 0; i < a_cols.size(); ++i) key[i] = t[a_cols[i]];
-    if (keys->trie.ContainsRow(key.data())) out.tuples.push_back(t);
+    if (ra.shrunk) {
+      direct[e] = AtomRows{std::move(ra.attributes), std::move(ra.rows)};
+    }
+  }
+  ExecutionContext sub = ctx;
+  sub.budget = budget;
+  GenericJoin join(query, db, red->variables, sub, std::move(direct));
+  JoinResult out = join.Evaluate();
+  if (stats != nullptr) stats->probes += join.stats().probes;
+  if (out.attributes != want) {
+    std::vector<int> perm;
+    perm.reserve(want.size());
+    for (const auto& a : want) {
+      perm.push_back(static_cast<int>(
+          std::find(out.attributes.begin(), out.attributes.end(), a) -
+          out.attributes.begin()));
+    }
+    Tuple scratch;
+    for (Tuple& t : out.tuples) {
+      scratch = t;
+      for (std::size_t i = 0; i < perm.size(); ++i) t[i] = scratch[perm[i]];
+    }
+    out.attributes = want;
   }
   return out;
 }
@@ -132,116 +248,15 @@ std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
                                              util::Budget* budget,
                                              IndexCache* cache,
                                              util::Arena* arena) {
-  std::vector<int> parent, order;
-  if (!BuildJoinTree(query, &parent, &order)) return std::nullopt;
-  const int m = static_cast<int>(query.atoms.size());
-  if (m == 0) {
-    JoinResult empty;
-    empty.tuples.push_back({});
-    return empty;
+  ExecutionContext ctx;
+  ctx.index_cache = cache;
+  ctx.arena = arena;
+  // Non-owning: the caller keeps `budget` alive for the call.
+  if (budget != nullptr) {
+    ctx.budget =
+        std::shared_ptr<util::Budget>(std::shared_ptr<util::Budget>(), budget);
   }
-  // On a budget trip, bail out with the canonical schema and whatever subset
-  // of the answer the phases below produced (often nothing) — a dropped
-  // tuple anywhere in the pipeline only ever shrinks the final answer.
-  auto truncated_result = [&](std::vector<Tuple> tuples = {}) {
-    JoinResult out;
-    out.attributes = query.AttributeOrder();
-    out.tuples = std::move(tuples);
-    out.truncated = true;
-    return out;
-  };
-  // One span per phase of Theorem 4.1's three-pass evaluation: the report's
-  // tree makes the semijoin/join cost split visible per run.
-  static const std::uint32_t kMaterializeSpan =
-      util::Trace::InternName("yannakakis.materialize");
-  static const std::uint32_t kUpSpan =
-      util::Trace::InternName("yannakakis.semijoin_up");
-  static const std::uint32_t kDownSpan =
-      util::Trace::InternName("yannakakis.semijoin_down");
-  static const std::uint32_t kJoinSpan =
-      util::Trace::InternName("yannakakis.join");
-  static const std::uint32_t kProjectSpan =
-      util::Trace::InternName("yannakakis.project");
-  std::vector<JoinResult> rel(m);
-  {
-    util::ScopedSpan span(kMaterializeSpan);
-    for (int e = 0; e < m; ++e) {
-      if (budget != nullptr && budget->Poll()) return truncated_result();
-      rel[e] = MaterializeAtom(query.atoms[e], db);
-    }
-  }
-
-  // Pristine = still exactly MaterializeAtom's output; only those B-sides
-  // may be served from the shared key-set cache (a shrunk side's key set is
-  // run-specific and must be rebuilt per call).
-  std::vector<bool> pristine(m, true);
-  // Upward sweep: parent ⋉ child, children first.
-  {
-    util::ScopedSpan span(kUpSpan);
-    for (int e : order) {
-      if (parent[e] >= 0) {
-        rel[parent[e]] = SemijoinAgainstAtom(
-            rel[parent[e]], rel[e], query.atoms[e], db,
-            pristine[e] ? cache : nullptr, budget, arena);
-        pristine[parent[e]] = false;
-        if (rel[parent[e]].truncated) return truncated_result();
-      }
-    }
-  }
-  // Downward sweep: child ⋉ parent, root first.
-  {
-    util::ScopedSpan span(kDownSpan);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      if (parent[*it] >= 0) {
-        rel[*it] = SemijoinAgainstAtom(
-            rel[*it], rel[parent[*it]], query.atoms[parent[*it]], db,
-            pristine[parent[*it]] ? cache : nullptr, budget, arena);
-        pristine[*it] = false;
-        if (rel[*it].truncated) return truncated_result();
-      }
-    }
-  }
-  // Join phase: fold children into parents bottom-up; the root accumulates
-  // the full answer.
-  std::vector<JoinResult> acc = rel;
-  int root = -1;
-  {
-    util::ScopedSpan span(kJoinSpan);
-    for (int e : order) {
-      if (parent[e] >= 0) {
-        acc[parent[e]] = HashJoin(acc[parent[e]], acc[e], stats, budget);
-        if (acc[parent[e]].truncated) return truncated_result();
-      } else {
-        root = e;
-      }
-    }
-  }
-  util::ScopedSpan project_span(kProjectSpan);
-  JoinResult answer = std::move(acc[root]);
-  // Align the schema with the canonical attribute order.
-  std::vector<std::string> want = query.AttributeOrder();
-  std::vector<int> perm;
-  perm.reserve(want.size());
-  for (const auto& a : want) {
-    auto it = std::find(answer.attributes.begin(), answer.attributes.end(), a);
-    perm.push_back(static_cast<int>(it - answer.attributes.begin()));
-  }
-  JoinResult out;
-  out.attributes = want;
-  out.tuples.reserve(answer.tuples.size());
-  for (const auto& t : answer.tuples) {
-    // Charge each delivered answer row so `--max-rows` caps the final
-    // output exactly, mirroring GenericJoin::Evaluate.
-    Tuple reordered;
-    reordered.reserve(perm.size());
-    for (int c : perm) reordered.push_back(t[c]);
-    out.tuples.push_back(std::move(reordered));
-    if (budget != nullptr && budget->ChargeRows(1)) {
-      out.truncated = true;
-      break;
-    }
-  }
-  return out;
+  return EvaluateYannakakis(query, db, ctx, stats);
 }
 
 std::optional<bool> BooleanYannakakis(const JoinQuery& query,
@@ -249,29 +264,11 @@ std::optional<bool> BooleanYannakakis(const JoinQuery& query,
                                       util::Budget* budget,
                                       IndexCache* cache,
                                       util::Arena* arena) {
-  std::vector<int> parent, order;
-  if (!BuildJoinTree(query, &parent, &order)) return std::nullopt;
-  const int m = static_cast<int>(query.atoms.size());
-  if (m == 0) return true;
-  std::vector<JoinResult> rel(m);
-  for (int e = 0; e < m; ++e) {
-    if (budget != nullptr && budget->Poll()) return false;  // Unknown.
-    rel[e] = MaterializeAtom(query.atoms[e], db);
-  }
-  std::vector<bool> pristine(m, true);
-  int root = -1;
-  for (int e : order) {
-    if (parent[e] >= 0) {
-      rel[parent[e]] = SemijoinAgainstAtom(rel[parent[e]], rel[e],
-                                           query.atoms[e], db,
-                                           pristine[e] ? cache : nullptr,
-                                           budget, arena);
-      pristine[parent[e]] = false;
-    } else {
-      root = e;
-    }
-  }
-  return !rel[root].tuples.empty();
+  std::optional<FullReduction> red =
+      ReduceAcyclicQuery(query, db, Sweeps::kUp, budget, cache, arena);
+  if (!red.has_value()) return std::nullopt;
+  if (Stopped(budget)) return false;  // Unknown.
+  return red->order.empty() || !red->atoms[red->order.back()].rows.empty();
 }
 
 }  // namespace qc::db

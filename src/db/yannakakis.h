@@ -3,6 +3,7 @@
 
 #include <optional>
 
+#include "core/context.h"
 #include "db/index_cache.h"
 #include "db/joins.h"
 #include "util/budget.h"
@@ -18,40 +19,72 @@ bool IsAcyclicQuery(const JoinQuery& query);
 bool BuildJoinTree(const JoinQuery& query, std::vector<int>* parent,
                    std::vector<int>* order);
 
-/// Semijoin A ⋉ B: tuples of A whose projection onto the shared attributes
-/// occurs in B. Polls `budget` once per probed tuple; on a trip the result
-/// carries the tuples kept so far with `truncated = true`. `arena`, when
-/// non-null, backs the key-set sort scratch.
-JoinResult Semijoin(const JoinResult& a, const JoinResult& b,
-                    util::Budget* budget = nullptr,
-                    util::Arena* arena = nullptr);
+/// One atom of an acyclic query after semijoin reduction.
+struct ReducedAtom {
+  /// The atom's distinct attributes, ordered as FullReduction::variables.
+  std::vector<std::string> attributes;
+  /// Surviving rows, sorted and duplicate-free, columns as `attributes`.
+  FlatRelation rows;
+  /// True once a semijoin dropped a row. An unshrunk atom still equals its
+  /// relation's projection, so the relation's version-keyed IndexCache
+  /// entries describe it; a shrunk atom's rows are run-specific and never
+  /// enter the cache.
+  bool shrunk = false;
+};
 
-/// Semijoin A ⋉ B where B is the *pristine* materialization of `b_atom`:
-/// MaterializeAtom(b_atom, db), possibly Normalize()d, but never shrunk by
-/// an earlier semijoin (reordering/deduplicating B cannot change its key
-/// set; dropping rows can). Produces output identical to
-/// Semijoin(a, b, budget) — same
-/// tuples, same order, same per-probe budget poll points — but when `cache`
-/// is non-null the sorted key set over the shared attributes comes from the
-/// shared IndexCache (keyed by relation version + projection signature), so
-/// a warm cache skips the per-call project+sort entirely and probes the
-/// cached trie instead. With `cache == nullptr` it defers to Semijoin.
-JoinResult SemijoinAgainstAtom(const JoinResult& a, const JoinResult& b,
-                               const Atom& b_atom, const Database& db,
-                               IndexCache* cache,
-                               util::Budget* budget = nullptr,
-                               util::Arena* arena = nullptr);
+/// An acyclic query's join tree and its atoms after the semijoin sweeps.
+struct FullReduction {
+  std::vector<int> parent;  ///< Join-tree parent per atom, -1 at the root.
+  std::vector<int> order;   ///< Children before parents (root last).
+  /// Root-first attribute order: the atoms in reverse `order` each append
+  /// their new attributes, so every prefix lies inside a connected subtree
+  /// of the join tree. A GenericJoin binding in this order over the fully
+  /// reduced atoms expands only search nodes that extend to an answer.
+  std::vector<std::string> variables;
+  std::vector<ReducedAtom> atoms;  ///< One per query atom.
+};
 
-/// Yannakakis' algorithm for alpha-acyclic queries: two semijoin sweeps over
-/// the GYO join tree (full reduction), then joins along the tree, keeping
-/// every intermediate no larger than its own size times the output.
-/// Returns nullopt if the query is cyclic. Observes `budget` at every
-/// per-tuple safe point; when it trips, the returned result has
-/// `truncated = true`, the canonical attribute schema, and a subset of the
-/// answer rows (possibly none) — inspect budget->status() for the cause.
-/// When `cache` is non-null, the semijoin sweeps probe cached key-set tries
-/// for pristine (never-yet-shrunk) B-sides — in tree order that is exactly
-/// the leaf atoms of the upward sweep; answers are bit-identical either way.
+/// Which semijoin sweeps ReduceAcyclicQuery runs.
+enum class Sweeps {
+  kUp,         ///< Parents ⋉ children: the root is empty iff the answer is.
+  kUpAndDown,  ///< Then children ⋉ parents: every row joins (full reducer).
+};
+
+/// Yannakakis' reducer, the one implementation of the semijoin sweeps
+/// behind EvaluateYannakakis, BooleanYannakakis and AcyclicEnumerator.
+/// Materializes every atom as its sorted, deduplicated projection and runs
+/// the sweeps over the GYO join tree. When `cache` is set, unshrunk atoms
+/// load from their cached tries and serve as semijoin right-hand sides
+/// through cached key-set tries (both keyed by relation version), so a warm
+/// cache skips every scan and sort over unshrunk atoms. Returns nullopt if
+/// the query is cyclic. Polls `budget` once per atom and per probed row; on
+/// a trip it returns early with the reduction incomplete, and callers must
+/// check budget->Stopped().
+std::optional<FullReduction> ReduceAcyclicQuery(
+    const JoinQuery& query, const Database& db, Sweeps sweeps,
+    util::Budget* budget = nullptr, IndexCache* cache = nullptr,
+    util::Arena* arena = nullptr);
+
+/// Yannakakis' algorithm for alpha-acyclic queries: the full reducer, then
+/// one GenericJoin over the reduced atoms binding in the reduction's
+/// root-first variable order, which keeps the join within O(input + output)
+/// up to log factors. Unshrunk atoms keep their cached tries when
+/// `ctx.index_cache` is set; shrunk ones are handed over as private rows.
+/// The join runs at `ctx.threads` and reports into `ctx.counters`; its rows
+/// are permuted to query.AttributeOrder() only when the orders differ.
+/// Answers have set semantics and equal GenericJoin's after Normalize().
+/// Returns nullopt if the query is cyclic. Observes the budget resolved from
+/// `ctx`: on a trip the result has `truncated = true`, the canonical
+/// schema, and a subset of the answer (possibly empty); under a row limit R
+/// exactly R rows. `stats`, when set, receives the reduced atoms' rows as
+/// `intermediate_tuples`/`max_intermediate` and the join's probes.
+std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
+                                             const Database& db,
+                                             const ExecutionContext& ctx,
+                                             JoinStats* stats = nullptr);
+
+/// EvaluateYannakakis with the pieces of an ExecutionContext passed one by
+/// one (threads from QC_THREADS, no counters).
 std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
                                              const Database& db,
                                              JoinStats* stats = nullptr,
@@ -59,7 +92,7 @@ std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
                                              IndexCache* cache = nullptr,
                                              util::Arena* arena = nullptr);
 
-/// Boolean acyclic query evaluation: one semijoin sweep towards the root;
+/// Boolean acyclic query evaluation: the reducer's upward sweep only;
 /// nonempty root == nonempty answer. Returns nullopt if cyclic. On a budget
 /// trip the verdict is unreliable only when it says "empty": callers must
 /// treat a `false` under budget->Stopped() as Unknown.

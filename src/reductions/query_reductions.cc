@@ -20,9 +20,8 @@ QueryToCspReduction CspFromJoinQuery(const db::JoinQuery& query,
   // Active domain: every value occurring in a referenced relation.
   std::set<db::Value> values;
   for (const auto& atom : query.atoms) {
-    for (const auto& t : db.Tuples(atom.relation)) {
-      values.insert(t.begin(), t.end());
-    }
+    const db::FlatRelation& rel = db.Flat(atom.relation);
+    values.insert(rel.data().begin(), rel.data().end());
   }
   red.domain_values.assign(values.begin(), values.end());
   std::map<db::Value, int> value_id;
@@ -38,10 +37,13 @@ QueryToCspReduction CspFromJoinQuery(const db::JoinQuery& query,
     scope.reserve(atom.attributes.size());
     for (const auto& a : atom.attributes) scope.push_back(attr_id[a]);
     csp::Relation rel(static_cast<int>(atom.attributes.size()));
-    for (const auto& t : db.Tuples(atom.relation)) {
+    const db::FlatRelation& rows = db.Flat(atom.relation);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
       std::vector<int> encoded;
-      encoded.reserve(t.size());
-      for (db::Value v : t) encoded.push_back(value_id[v]);
+      encoded.reserve(static_cast<std::size_t>(rows.arity()));
+      for (int c = 0; c < rows.arity(); ++c) {
+        encoded.push_back(value_id[rows.At(r, c)]);
+      }
       rel.Add(std::move(encoded));
     }
     red.csp.AddConstraint(std::move(scope), std::move(rel));

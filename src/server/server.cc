@@ -361,37 +361,47 @@ std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
   if (!views_.empty()) api::FillIvmSection(&resp.report, views_.stats());
 
   // 4. Stream: hdr, bounded row batches, per-request report, end.
+  return RowReply(id, resp.status, resp.method, resp.result.truncated,
+                  snapshot.epoch, resp.result.attributes, resp.result.tuples,
+                  std::move(resp.analysis_text), resp.report);
+}
+
+std::vector<api::Frame> QueryServer::RowReply(
+    std::uint64_t id, util::RunStatus status, const std::string& method,
+    bool truncated, std::uint64_t epoch,
+    const std::vector<std::string>& attributes,
+    const std::vector<db::Tuple>& rows, std::string analysis,
+    const util::RunReport& report) const {
   std::vector<api::Frame> frames;
   api::Frame hdr;
   hdr.kind = "hdr";
   hdr.Add("id", std::to_string(id));
-  hdr.Add("status", std::string(util::ToString(resp.status)));
-  hdr.Add("method", resp.method);
-  hdr.Add("rows", std::to_string(resp.result.tuples.size()));
-  hdr.Add("truncated", resp.result.truncated ? "1" : "0");
-  hdr.Add("epoch", std::to_string(snapshot.epoch));
+  hdr.Add("status", std::string(util::ToString(status)));
+  hdr.Add("method", method);
+  hdr.Add("rows", std::to_string(rows.size()));
+  hdr.Add("truncated", truncated ? "1" : "0");
+  hdr.Add("epoch", std::to_string(epoch));
   std::string attrs;
-  for (const auto& a : resp.result.attributes) {
+  for (const auto& a : attributes) {
     if (!attrs.empty()) attrs += ' ';
     attrs += a;
   }
   hdr.Add("attributes", attrs);
-  hdr.body = resp.analysis_text;
+  hdr.body = std::move(analysis);
   frames.push_back(std::move(hdr));
 
   const std::size_t batch_rows =
       options_.batch_rows > 0 ? static_cast<std::size_t>(options_.batch_rows)
                               : 256;
-  for (std::size_t begin = 0; begin < resp.result.tuples.size();
-       begin += batch_rows) {
-    std::size_t end = std::min(begin + batch_rows, resp.result.tuples.size());
+  for (std::size_t begin = 0; begin < rows.size(); begin += batch_rows) {
+    std::size_t end = std::min(begin + batch_rows, rows.size());
     api::Frame batch;
     batch.kind = "batch";
     batch.Add("id", std::to_string(id));
     batch.Add("rows", std::to_string(end - begin));
     for (std::size_t i = begin; i < end; ++i) {
       std::string line;
-      for (db::Value v : resp.result.tuples[i]) {
+      for (db::Value v : rows[i]) {
         if (!line.empty()) line += ' ';
         line += std::to_string(v);
       }
@@ -401,16 +411,16 @@ std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
     frames.push_back(std::move(batch));
   }
 
-  api::Frame report;
-  report.kind = "report";
-  report.Add("id", std::to_string(id));
-  report.body = resp.report.ToJson();
-  frames.push_back(std::move(report));
+  api::Frame report_frame;
+  report_frame.kind = "report";
+  report_frame.Add("id", std::to_string(id));
+  report_frame.body = report.ToJson();
+  frames.push_back(std::move(report_frame));
 
   api::Frame end;
   end.kind = "end";
   end.Add("id", std::to_string(id));
-  end.Add("code", std::to_string(resp.ExitCode()));
+  end.Add("code", std::to_string(util::ExitCode(status)));
   frames.push_back(std::move(end));
   return frames;
 }
@@ -506,57 +516,9 @@ std::vector<api::Frame> QueryServer::HandleViewRead(
                        std::chrono::steady_clock::now() - started)
                        .count();
 
-  std::vector<api::Frame> frames;
-  api::Frame hdr;
-  hdr.kind = "hdr";
-  hdr.Add("id", std::to_string(id));
-  hdr.Add("status", std::string(util::ToString(util::RunStatus::kCompleted)));
-  hdr.Add("method", "ivm");
-  hdr.Add("rows", std::to_string(state.rows.size()));
-  hdr.Add("truncated", "0");
-  hdr.Add("epoch", std::to_string(state.epoch));
-  std::string attrs;
-  for (const auto& a : state.attributes) {
-    if (!attrs.empty()) attrs += ' ';
-    attrs += a;
-  }
-  hdr.Add("attributes", attrs);
-  frames.push_back(std::move(hdr));
-
-  const std::size_t batch_rows =
-      options_.batch_rows > 0 ? static_cast<std::size_t>(options_.batch_rows)
-                              : 256;
-  for (std::size_t begin = 0; begin < state.rows.size();
-       begin += batch_rows) {
-    std::size_t end = std::min(begin + batch_rows, state.rows.size());
-    api::Frame batch;
-    batch.kind = "batch";
-    batch.Add("id", std::to_string(id));
-    batch.Add("rows", std::to_string(end - begin));
-    for (std::size_t i = begin; i < end; ++i) {
-      std::string line;
-      for (db::Value v : state.rows[i]) {
-        if (!line.empty()) line += ' ';
-        line += std::to_string(v);
-      }
-      batch.body += line;
-      batch.body += '\n';
-    }
-    frames.push_back(std::move(batch));
-  }
-
-  api::Frame report_frame;
-  report_frame.kind = "report";
-  report_frame.Add("id", std::to_string(id));
-  report_frame.body = report.ToJson();
-  frames.push_back(std::move(report_frame));
-
-  api::Frame end;
-  end.kind = "end";
-  end.Add("id", std::to_string(id));
-  end.Add("code", "0");
-  frames.push_back(std::move(end));
-  return frames;
+  return RowReply(id, util::RunStatus::kCompleted, "ivm", /*truncated=*/false,
+                  state.epoch, state.attributes, state.rows, /*analysis=*/"",
+                  report);
 }
 
 std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
@@ -657,8 +619,10 @@ std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
   }
   // Opportunistic compaction keeps wal.log bounded; failure is non-fatal
   // (the log just stays long) but is surfaced in stats via the WAL stats.
+  // The window is read under the writer lock that compacts, so every id
+  // committed before the snapshot is persisted with it.
   std::string compact_error;
-  mvcc_.MaybeCompactWal(DedupWindow(), &compact_error);
+  mvcc_.MaybeCompactWal([this] { return DedupWindow(); }, &compact_error);
 
   api::Frame end;
   end.kind = "end";

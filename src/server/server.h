@@ -183,6 +183,17 @@ class QueryServer {
   std::vector<api::Frame> HandleMutate(const api::Frame& request);
   std::vector<api::Frame> HandleViewRegister(const api::Frame& request);
   std::vector<api::Frame> HandleViewRead(const api::Frame& request);
+  /// The reply stream of a row-returning request, shared by HandleQuery
+  /// and HandleViewRead so clients decode both with one path: hdr (with
+  /// `analysis` as its body), row batches of options_.batch_rows, the
+  /// report, and end carrying util::ExitCode(status).
+  std::vector<api::Frame> RowReply(std::uint64_t id, util::RunStatus status,
+                                   const std::string& method, bool truncated,
+                                   std::uint64_t epoch,
+                                   const std::vector<std::string>& attributes,
+                                   const std::vector<db::Tuple>& rows,
+                                   std::string analysis,
+                                   const util::RunReport& report) const;
   api::Frame HandleHealth(std::uint64_t id) const;
   void AcceptLoop();
   void ServeConnection(int fd, std::uint64_t conn_id);
@@ -191,7 +202,9 @@ class QueryServer {
   /// Dedup bookkeeping. Its own lock, taken inside mvcc_'s writer lock by
   /// the mutate path (check-and-remember must be atomic with the apply,
   /// or two concurrent retries of one id could both pass the check and
-  /// both commit); the inverse nesting never occurs.
+  /// both commit) and by compaction (the persisted window must be read
+  /// under the lock that snapshots the data); the inverse nesting never
+  /// occurs.
   bool SeenRequestId(std::uint64_t id) const;
   void RememberRequestId(std::uint64_t id);
   std::vector<std::uint64_t> DedupWindow() const;

@@ -18,7 +18,7 @@ namespace qc::util {
 /// "generic_join.probes" or "treedp.table_entries", replacing the per-engine
 /// stats structs as the cross-engine reporting surface. Not thread-safe:
 /// parallel kernels accumulate into per-worker Counters and Merge them in a
-/// deterministic order (or report through the thread-safe MetricsRegistry).
+/// deterministic order.
 ///
 /// Keys come in two kinds. *Counters* (written with Add) are monotonic work
 /// measures; Merge sums them across workers. *Gauges* (written with Set) are

@@ -517,6 +517,30 @@ TEST(CancellationRowLimit, EnumeratorDeliversExactlyMaxRows) {
   EXPECT_EQ(limited.status(), util::RunStatus::kBudgetExhausted);
 }
 
+TEST(CancellationRowLimit, YannakakisDeliversExactlyMaxRows) {
+  util::Rng rng(12);
+  db::JoinQuery q = PathQuery();
+  db::Database d = db::RandomDatabase(q, 256, 64, &rng);
+  std::optional<db::JoinResult> full = db::EvaluateYannakakis(q, d);
+  ASSERT_TRUE(full.has_value());
+  ASSERT_GT(full->tuples.size(), 5u);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    ExecutionContext ctx;
+    ctx.threads = threads;
+    ctx.max_output_rows = 5;
+    std::optional<db::JoinResult> limited = db::EvaluateYannakakis(q, d, ctx);
+    ASSERT_TRUE(limited.has_value());
+    EXPECT_EQ(limited->tuples.size(), 5u);
+    EXPECT_TRUE(limited->truncated);
+    EXPECT_EQ(limited->attributes, q.AttributeOrder());
+    for (const auto& t : limited->tuples) {
+      EXPECT_NE(std::find(full->tuples.begin(), full->tuples.end(), t),
+                full->tuples.end());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // External cancellation from another thread (tsan exercises the atomics)
 

@@ -3,6 +3,7 @@
 #include "csp/arc_consistency.h"
 #include "csp/csp.h"
 #include "csp/generators.h"
+#include "csp/serialization.h"
 #include "csp/solver.h"
 #include "graph/generators.h"
 #include "graph/homomorphism.h"
@@ -257,6 +258,39 @@ TEST(GeneratorsTest, InputSizeAccounting) {
   CspInstance csp = ColoringCsp(graph::Path(3), 2);
   // 3 vars + 2 domain + 2 constraints * 2 * (2 tuples + 1).
   EXPECT_EQ(csp.InputSize(), 3 + 2 + 2 * 2 * 3);
+}
+
+TEST(CspSerializationTest, RoundTrip) {
+  util::Rng rng(1);
+  graph::Graph structure = graph::RandomGnp(6, 0.5, &rng);
+  csp::CspInstance csp = csp::RandomBinaryCsp(structure, 3, 0.4, &rng);
+  std::string text = csp::ToText(csp);
+  auto parsed = csp::FromText(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->num_vars, csp.num_vars);
+  EXPECT_EQ(parsed->domain_size, csp.domain_size);
+  ASSERT_EQ(parsed->constraints.size(), csp.constraints.size());
+  for (std::size_t i = 0; i < csp.constraints.size(); ++i) {
+    EXPECT_EQ(parsed->constraints[i].scope, csp.constraints[i].scope);
+    EXPECT_EQ(parsed->constraints[i].relation.tuples(),
+              csp.constraints[i].relation.tuples());
+  }
+  // Semantics preserved.
+  EXPECT_EQ(csp::CountSolutionsBruteForce(*parsed),
+            csp::CountSolutionsBruteForce(csp));
+}
+
+TEST(CspSerializationTest, RejectsMalformed) {
+  std::string error;
+  EXPECT_FALSE(csp::FromText("", &error).has_value());
+  EXPECT_FALSE(csp::FromText("constraint 2 0 1\nend\n", &error).has_value());
+  EXPECT_FALSE(csp::FromText("csp 2 2\nconstraint 2 0 5\nend\n", &error)
+                   .has_value());
+  EXPECT_FALSE(csp::FromText("csp 2 2\nconstraint 2 0 1\n0 9\nend\n", &error)
+                   .has_value());
+  EXPECT_FALSE(
+      csp::FromText("csp 2 2\nconstraint 2 0 1\n0 1\n", &error).has_value());
+  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

@@ -178,14 +178,40 @@ TEST(YannakakisTest, RejectsCyclicQuery) {
   EXPECT_FALSE(BooleanYannakakis(TriangleQuery(), db).has_value());
 }
 
+TEST(YannakakisTest, DuplicateBaseRowsCollapse) {
+  // Set semantics: a bag-semantics join fold would emit (1,2,3) four times.
+  Database db;
+  db.SetRelation("R", 2, {{1, 2}, {1, 2}, {4, 5}});
+  db.SetRelation("S", 2, {{2, 3}, {2, 3}, {9, 9}});
+  auto yan = EvaluateYannakakis(PathQuery(), db);
+  ASSERT_TRUE(yan.has_value());
+  EXPECT_EQ(yan->attributes, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(yan->tuples, (std::vector<Tuple>{{1, 2, 3}}));
+  EXPECT_EQ(EvaluateNestedLoop(PathQuery(), db).tuples, yan->tuples);
+}
+
 TEST(SemijoinTest, Basic) {
-  JoinResult a{{"x", "y"}, {{1, 2}, {3, 4}, {5, 6}}};
-  JoinResult b{{"y"}, {{2}, {6}}};
-  JoinResult r = Semijoin(a, b);
-  EXPECT_EQ(r.tuples, (std::vector<Tuple>{{1, 2}, {5, 6}}));
-  // Empty right side with no shared attrs removes everything.
-  JoinResult empty{{"z"}, {}};
-  EXPECT_TRUE(Semijoin(a, empty).tuples.empty());
+  // The reducer's semijoins: A(x,y) ⋉ B(y) keeps the rows whose y is in B.
+  Database db;
+  db.SetRelation("A", 2, {{1, 2}, {3, 4}, {5, 6}, {1, 2}});
+  db.SetRelation("B", 1, {{6}, {2}});
+  JoinQuery q;
+  q.Add("A", {"x", "y"}).Add("B", {"y"});
+  auto red = ReduceAcyclicQuery(q, db, Sweeps::kUpAndDown);
+  ASSERT_TRUE(red.has_value());
+  // B absorbs A in the GYO reduction, so B is the root and y binds first.
+  EXPECT_EQ(red->variables, (std::vector<std::string>{"y", "x"}));
+  EXPECT_EQ(red->atoms[0].attributes, (std::vector<std::string>{"y", "x"}));
+  EXPECT_EQ(red->atoms[0].rows.ToRows(), (std::vector<Tuple>{{2, 1}, {6, 5}}));
+  EXPECT_TRUE(red->atoms[0].shrunk);
+  EXPECT_EQ(red->atoms[1].rows.ToRows(), (std::vector<Tuple>{{2}, {6}}));
+  EXPECT_FALSE(red->atoms[1].shrunk);
+  // An empty atom sharing no attribute with the rest removes everything.
+  db.SetRelation("E", 1, {});
+  q.Add("E", {"z"});
+  red = ReduceAcyclicQuery(q, db, Sweeps::kUpAndDown);
+  ASSERT_TRUE(red.has_value());
+  for (const ReducedAtom& atom : red->atoms) EXPECT_TRUE(atom.rows.empty());
 }
 
 TEST(AgmTest, TriangleAnalysis) {

@@ -1,7 +1,7 @@
 // Observability-layer tests: the per-budget Poll stride cache (the
 // cross-budget starvation regression), the span/trace subsystem's
 // determinism and disabled-path cost, the counter-vs-gauge merge semantics
-// of Counters/MetricsRegistry, and the RunReport JSON schema. The tsan
+// of Counters, and the RunReport JSON schema. The tsan
 // preset runs the Trace suites at QC_THREADS=8.
 
 #include <cctype>
@@ -19,7 +19,6 @@
 #include "kernels/dispatch.h"
 #include "util/budget.h"
 #include "util/counters.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/run_report.h"
 #include "util/timer.h"
@@ -228,7 +227,7 @@ TEST(TraceDeterminism, DisabledTracingIsCheap) {
 }
 
 // ---------------------------------------------------------------------------
-// Counters / MetricsRegistry: gauge keys must not double-count on merge.
+// Counters: gauge keys must not double-count on merge.
 
 TEST(MetricsTest, EightWorkerMergeSumsCountersAndMaxesGauges) {
   // Regression: Merge used to Add() gauge keys, so a "threads" gauge merged
@@ -256,27 +255,6 @@ TEST(MetricsTest, MergePreservesGaugeKindAcrossChains) {
   c.Merge(b);   // Max, not sum: 4, not 6.
   EXPECT_EQ(c.Get("threads"), 4u);
   EXPECT_TRUE(c.IsGauge("threads"));
-}
-
-TEST(MetricsTest, RegistryIsThreadSafe) {
-  util::MetricsRegistry registry;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&registry, t] {
-      util::Counters local;
-      for (int i = 0; i < 1000; ++i) local.Add("ops");
-      local.Set("threads", 8);
-      registry.MergeCounters(local);
-      registry.AddCounter("merges");
-      registry.MaxGauge("max_worker_id", static_cast<std::uint64_t>(t));
-    });
-  }
-  for (auto& w : workers) w.join();
-  util::Counters snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.Get("ops"), 8000u);
-  EXPECT_EQ(snapshot.Get("merges"), 8u);
-  EXPECT_EQ(snapshot.Get("threads"), 8u);
-  EXPECT_EQ(snapshot.Get("max_worker_id"), 7u);
 }
 
 TEST(MetricsTest, UnknownRunStatusIsSurfacedNotSwallowed) {

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "core/analyzer.h"
+#include "core/autosolver.h"
 #include "db/agm.h"
 #include "db/enumeration.h"
 #include "db/generic_join.h"
 #include "db/joins.h"
 #include "db/yannakakis.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace qc::db {
@@ -69,6 +71,48 @@ TEST_P(RandomAcyclicQueryTest, ConstructionIsAcyclicAndEvaluatorsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAcyclicQueryTest,
                          ::testing::Range(0, 20));
+
+TEST(AcyclicRouteTest, ServedJoinExpandsOnlyAnswerPrefixes) {
+  // The path a - x - y - b with its atoms listed so that first-appearance
+  // order binds b before y: GenericJoin over the raw atoms then tries every
+  // b under every (a, x), and all but S(0, 0) dangle once T pins y to 0.
+  // The served route joins the fully reduced atoms in root-first order,
+  // where every search node is the prefix of an answer.
+  JoinQuery q;
+  q.Add("R", {"a", "x"}).Add("S", {"b", "y"}).Add("T", {"x", "y"});
+  Database d;
+  std::vector<Tuple> r, s, t;
+  for (Value i = 0; i < 200; ++i) {
+    r.push_back({i, i % 10});
+    s.push_back({i, i});
+  }
+  for (Value x = 0; x < 10; ++x) t.push_back({x, 0});
+  d.SetRelation("R", 2, r);
+  d.SetRelation("S", 2, s);
+  d.SetRelation("T", 2, t);
+  auto red = ReduceAcyclicQuery(q, d, Sweeps::kUpAndDown);
+  ASSERT_TRUE(red.has_value());
+  std::uint64_t reduced_rows = 0;
+  for (const ReducedAtom& atom : red->atoms) reduced_rows += atom.rows.size();
+
+  util::Counters served;
+  ExecutionContext ctx;
+  ctx.threads = 1;
+  ctx.counters = &served;
+  core::AutoQueryResult routed = core::EvaluateQueryAuto(q, d, ctx);
+  ASSERT_EQ(routed.method, core::SolveMethod::kYannakakis);
+  const std::uint64_t output = routed.result.tuples.size();
+  EXPECT_EQ(output, 200u);
+  const std::uint64_t bound =
+      (reduced_rows + output) * q.AttributeOrder().size();
+  EXPECT_GT(served.Get("generic_join.nodes"), 0u);
+  EXPECT_LE(served.Get("generic_join.nodes"), bound);
+
+  util::Counters unreduced;
+  ctx.counters = &unreduced;
+  EXPECT_EQ(GenericJoin(q, d, ctx).Evaluate().tuples.size(), output);
+  EXPECT_GT(unreduced.Get("generic_join.nodes"), bound);
+}
 
 class RandomBinaryQueryTest : public ::testing::TestWithParam<int> {};
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -661,6 +662,61 @@ TEST_F(WalServerTest, ConcurrentSameRequestIdAppliesExactlyOnce) {
             static_cast<std::uint64_t>(kThreads - 1));
   std::vector<api::Frame> q = Query(server, "R1(a,b)");
   EXPECT_EQ(q.front().FindUint("rows", 0), 2u);
+}
+
+TEST_F(WalServerTest, CompactionAfterEveryWriteKeepsEveryAckedRequestId) {
+  // Regression: the mutate path read the dedup window after its commit had
+  // released the writer lock, then compacted under the lock again. A
+  // mutate committed in between landed in the compacted snapshot while its
+  // request id was in neither the snapshot nor the rotated log; its own
+  // compaction then found the log empty. After a restart a retry of it
+  // applied twice. Each round starts its writers together so they contend
+  // for the writer lock, then restarts and retries every acknowledged id.
+  server::ServerOptions options = WalOptions();
+  options.wal.compact_bytes = 1;  // Every write compacts.
+  constexpr int kRounds = 20;
+  constexpr int kWriters = 4;
+  auto body = [](std::uint64_t id) {
+    return "relation R:\n" + std::to_string(id) + " 1\n";
+  };
+  auto start = [&options] {
+    auto server = std::make_unique<server::QueryServer>(options);
+    std::string error;
+    EXPECT_TRUE(server->Recover(&error)) << error;
+    return server;
+  };
+  std::unique_ptr<server::QueryServer> server = start();
+  ASSERT_EQ(Mutate(*server, "relation R:\n0 0\n", 1)[0].kind, "end");
+  std::uint64_t total = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::uint64_t> acked(kWriters, 0);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        const std::uint64_t id = 1000 + round * kWriters + w;
+        ready.fetch_add(1);
+        while (ready.load() < kWriters) std::this_thread::yield();
+        std::vector<api::Frame> r = Mutate(*server, body(id), id);
+        if (!r.empty() && r[0].kind == "end" &&
+            r[0].FindUint("applied", 0) == 1u) {
+          acked[w] = id;
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    server.reset();
+    server = start();
+    for (std::uint64_t id : acked) {
+      ASSERT_NE(id, 0u) << "round " << round;
+      ++total;
+      std::vector<api::Frame> retry = Mutate(*server, body(id), id);
+      ASSERT_EQ(retry[0].kind, "end");
+      EXPECT_EQ(retry[0].FindUint("deduped", 0), 1u) << "request id " << id;
+    }
+  }
+  std::vector<api::Frame> q = Query(*server, "R(a,b)");
+  EXPECT_EQ(q.front().FindUint("rows", 0), total + 1);
 }
 
 TEST_F(WalServerTest, DrainingRejectsNewWorkRetryably) {

@@ -157,5 +157,64 @@ TEST(HomCspTest, CspMatchesHomomorphismSemantics) {
   EXPECT_EQ(CountHomomorphisms(a, b), 2u);  // 0->1->2 and 1->2->3.
 }
 
+TEST(StructureToolsTest, IsomorphismBasics) {
+  using structures::Structure;
+  Structure c4a = Structure::FromGraph(graph::Cycle(4));
+  // A relabelled 4-cycle: 0-2-1-3-0.
+  graph::Graph g(4);
+  g.AddEdge(0, 2);
+  g.AddEdge(2, 1);
+  g.AddEdge(1, 3);
+  g.AddEdge(3, 0);
+  Structure c4b = Structure::FromGraph(g);
+  EXPECT_TRUE(structures::AreIsomorphic(c4a, c4b));
+  // P_4 has the same vertex count and edge count as... no: use K_3 vs P_3.
+  Structure k3 = Structure::FromGraph(graph::Complete(3));
+  Structure p3 = Structure::FromGraph(graph::Path(3));
+  EXPECT_FALSE(structures::AreIsomorphic(k3, p3));
+  // C_4 vs K_{1,3}: both 4 vertices 3... C_4 has 4 edges; use star_3 vs P_4
+  // (both 4 vertices, 3 edges, different degree sequences).
+  Structure star = Structure::FromGraph(graph::Star(3));
+  Structure p4 = Structure::FromGraph(graph::Path(4));
+  EXPECT_FALSE(structures::AreIsomorphic(star, p4));
+}
+
+TEST(StructureToolsTest, CoreUniqueUpToIsomorphism) {
+  // Compute the core of C_6 + K_2 twice from differently-labelled copies;
+  // the results must be isomorphic (both are single edges).
+  using structures::Structure;
+  graph::Graph g1 = graph::Cycle(6).DisjointUnion(graph::Complete(2));
+  graph::Graph g2 = graph::Complete(2).DisjointUnion(graph::Cycle(6));
+  Structure core1 = structures::ComputeCore(Structure::FromGraph(g1));
+  Structure core2 = structures::ComputeCore(Structure::FromGraph(g2));
+  EXPECT_TRUE(structures::AreIsomorphic(core1, core2));
+  EXPECT_EQ(core1.universe_size(), 2);
+}
+
+TEST(StructureToolsTest, DisjointUnionHomBehaviour) {
+  using structures::Structure;
+  Structure c5 = Structure::FromGraph(graph::Cycle(5));
+  Structure k3 = Structure::FromGraph(graph::Complete(3));
+  Structure both = structures::DisjointUnion(c5, k3);
+  EXPECT_EQ(both.universe_size(), 8);
+  // C_5 + K_3 maps into K_3 (each component does).
+  EXPECT_TRUE(structures::FindHomomorphism(both, k3).has_value());
+  // K_3 maps into the union (into its K_3 part).
+  EXPECT_TRUE(structures::FindHomomorphism(k3, both).has_value());
+}
+
+TEST(StructureToolsTest, TreewidthHomCountMatchesBacktracking) {
+  util::Rng rng(2);
+  for (int trial = 0; trial < 6; ++trial) {
+    graph::Graph ha = graph::RandomPartialKTree(7, 2, 0.8, &rng);
+    graph::Graph gb = graph::RandomGnp(5, 0.5, &rng);
+    structures::Structure a = structures::Structure::FromGraph(ha);
+    structures::Structure b = structures::Structure::FromGraph(gb);
+    EXPECT_EQ(structures::CountHomomorphismsTreewidth(a, b),
+              structures::CountHomomorphisms(a, b))
+        << trial;
+  }
+}
+
 }  // namespace
 }  // namespace qc::structures
