@@ -136,18 +136,18 @@ int main(int argc, char** argv) {
   std::printf("=== analysis ===\n%s\n", resp.analysis_text.c_str());
   std::printf("\n");
   std::printf("=== answer (via %s): %zu tuples%s ===\n", resp.method.c_str(),
-              resp.result.tuples.size(),
+              resp.result.rows.size(),
               resp.result.truncated ? " (truncated)" : "");
   std::string header;
   for (const auto& a : resp.result.attributes) header += a + " ";
   std::printf("%s\n", header.c_str());
-  std::size_t shown = 0;
-  for (const auto& t : resp.result.tuples) {
+  const db::FlatRelation& rows = resp.result.rows;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     std::string row;
-    for (db::Value v : t) row += std::to_string(v) + " ";
+    for (db::Value v : rows.View(i)) row += std::to_string(v) + " ";
     std::printf("%s\n", row.c_str());
-    if (++shown == 20 && resp.result.tuples.size() > 20) {
-      std::printf("... (%zu more)\n", resp.result.tuples.size() - 20);
+    if (i + 1 == 20 && rows.size() > 20) {
+      std::printf("... (%zu more)\n", rows.size() - 20);
       break;
     }
   }

@@ -310,7 +310,7 @@ QueryResponse ExecuteQuery(const QueryRequest& req, const db::Database& db,
   } catch (const std::bad_alloc&) {
     resp.internal_error = true;
     resp.error = "allocation failure during query evaluation";
-    resp.result = db::JoinResult{};
+    resp.result = db::FlatJoinResult{};
   }
 
   resp.report.status = resp.status;

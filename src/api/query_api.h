@@ -123,7 +123,7 @@ struct QueryResponse {
   util::RunStatus status = util::RunStatus::kCompleted;
   std::string method;         ///< Engine the auto-router picked.
   std::string analysis_text;  ///< Filled when want_analysis.
-  db::JoinResult result;
+  db::FlatJoinResult result;  ///< Columnar answer; result.ToRows() for rows.
   util::RunReport report;
 
   /// 1 for input errors, 7 for internal errors, else util::ExitCode(status).

@@ -53,13 +53,24 @@ std::uint64_t Frame::FindUint(std::string_view key,
   return out;
 }
 
-std::string EncodeFrame(const Frame& frame) {
-  std::string out = "qcp " + Sanitize(frame.kind, false) + " " +
-                    std::to_string(frame.body.size()) + "\n";
+void AppendFrameHeader(const Frame& frame, std::string* out) {
+  *out += "qcp ";
+  *out += Sanitize(frame.kind, false);
+  *out += ' ';
+  *out += std::to_string(frame.body.size());
+  *out += '\n';
   for (const auto& [key, value] : frame.fields) {
-    out += Sanitize(key, false) + " " + Sanitize(value, true) + "\n";
+    *out += Sanitize(key, false);
+    *out += ' ';
+    *out += Sanitize(value, true);
+    *out += '\n';
   }
-  out += ".\n";
+  *out += ".\n";
+}
+
+std::string EncodeFrame(const Frame& frame) {
+  std::string out;
+  AppendFrameHeader(frame, &out);
   out += frame.body;
   return out;
 }

@@ -49,6 +49,12 @@ struct Frame {
 /// defines; violators are sanitized to '_' rather than corrupting framing.
 std::string EncodeFrame(const Frame& frame);
 
+/// Appends the encoding of everything before the body (the `qcp` line, the
+/// fields and the `.` line) to `out`; EncodeFrame is that plus the body.
+/// Lets a writer coalesce frames into its own buffer without building each
+/// encoded frame as a separate string.
+void AppendFrameHeader(const Frame& frame, std::string* out);
+
 /// Incremental decoder fed by arbitrary byte chunks (socket reads).
 /// Hardened against untrusted peers: header lines, field counts and body
 /// sizes are capped, and any malformed header poisons the parser (every

@@ -121,9 +121,9 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
     static const std::uint32_t kYannakakisSpan =
         util::Trace::InternName("autosolver.yannakakis");
     util::ScopedSpan span(kYannakakisSpan);
-    auto yan = db::EvaluateYannakakis(query, db, sub);
+    auto yan = db::EvaluateYannakakisFlat(query, db, sub);
     if (yan.has_value()) {
-      ctx.Count("yannakakis.output_tuples", yan->tuples.size());
+      ctx.Count("yannakakis.output_tuples", yan->rows.size());
       result.method = SolveMethod::kYannakakis;
       result.result = std::move(*yan);
       result.status = result.result.truncated ? budget->status()
@@ -148,7 +148,7 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
                                   hybrid.ProfitableUnderAuto())) {
         ctx.Count("hybrid.dispatches", 1);
         result.method = SolveMethod::kHybridJoin;
-        result.result = hybrid.Evaluate();
+        result.result = hybrid.EvaluateFlat();
         result.plan = hybrid.plan();
         result.status = hybrid.status();
         return result;
@@ -160,7 +160,7 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
   util::ScopedSpan generic_join_span(kGenericJoinSpan);
   result.method = SolveMethod::kGenericJoin;
   db::GenericJoin join(query, db, sub);
-  result.result = join.Evaluate();
+  result.result = join.EvaluateFlat();
   result.status = join.status();
   return result;
 }

@@ -47,10 +47,12 @@ AutoCspResult SolveCspAuto(const csp::CspInstance& csp,
                            const ExecutionContext& ctx = ExecutionContext());
 
 struct AutoQueryResult {
-  db::JoinResult result;
+  /// The routed engine's answer in columnar form (result.ToRows() gives
+  /// the row form).
+  db::FlatJoinResult result;
   SolveMethod method = SolveMethod::kGenericJoin;
   /// How the routed engine ended. On anything but kCompleted,
-  /// `result.truncated` is set and `result.tuples` is a subset of the
+  /// `result.truncated` is set and `result.rows` is a subset of the
   /// answer.
   util::RunStatus status = util::RunStatus::kCompleted;
   /// Degree-split decision record when the hybrid planner examined the

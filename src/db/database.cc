@@ -170,6 +170,10 @@ void JoinResult::Normalize() {
   tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
 }
 
+JoinResult FlatJoinResult::ToRows() const {
+  return JoinResult{attributes, rows.ToRows(), truncated};
+}
+
 bool TupleSatisfiesQuery(const JoinQuery& query, const Database& db,
                          const std::vector<std::string>& attrs,
                          const Tuple& tuple) {

@@ -166,6 +166,21 @@ struct JoinResult {
   void Normalize();
 };
 
+/// A join answer in columnar form: the one result every served engine
+/// route fills (GenericJoin, the acyclic route, the hybrid merge) and the
+/// reply encoder reads. Row form exists only at the JoinResult edge.
+struct FlatJoinResult {
+  std::vector<std::string> attributes;
+  /// One row per answer, columns ordered as `attributes`.
+  FlatRelation rows;
+  /// True when the producing engine stopped early (deadline, row limit,
+  /// cancellation): `rows` is a subset of the true answer.
+  bool truncated = false;
+
+  /// The row-form adapter kept for tests, benches and external callers.
+  JoinResult ToRows() const;
+};
+
 /// Reference evaluation by full nested-loop enumeration over the attribute
 /// domains induced by the database; exponential, for testing only.
 JoinResult EvaluateNestedLoop(const JoinQuery& query, const Database& db);

@@ -36,6 +36,28 @@ void FlatRelation::PushRow(const Tuple& row) {
   ++size_;
 }
 
+void FlatRelation::Append(const FlatRelation& other) {
+  if (other.arity_ != arity_) std::abort();
+  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+  size_ += other.size_;
+}
+
+void FlatRelation::Truncate(std::size_t rows) {
+  if (rows >= size_) return;
+  data_.resize(rows * static_cast<std::size_t>(arity_));
+  size_ = rows;
+}
+
+void FlatRelation::PermuteColumns(const std::vector<int>& src) {
+  if (static_cast<int>(src.size()) != arity_) std::abort();
+  Tuple old(src.size());
+  for (std::size_t i = 0; i < size_; ++i) {
+    Value* row = data_.data() + i * static_cast<std::size_t>(arity_);
+    std::copy(row, row + arity_, old.begin());
+    for (int c = 0; c < arity_; ++c) row[c] = old[src[c]];
+  }
+}
+
 void FlatRelation::Reserve(std::size_t rows) {
   data_.reserve(rows * static_cast<std::size_t>(arity_));
 }

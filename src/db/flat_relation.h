@@ -74,8 +74,16 @@ class FlatRelation {
   /// Appends one row (copies `arity` values from `row`).
   void PushRow(const Value* row);
   void PushRow(const Tuple& row);
+  /// Appends every row of `other`, which must have the same arity.
+  void Append(const FlatRelation& other);
+  /// Keeps the first `rows` rows (no-op when size() <= rows).
+  void Truncate(std::size_t rows);
   void Reserve(std::size_t rows);
   void Clear();
+
+  /// Rewrites every row in place so that new column i holds old column
+  /// `src[i]`; `src` must be a permutation of [0, arity()).
+  void PermuteColumns(const std::vector<int>& src);
 
   /// How SortLexAndDedup orders the permutation. kAuto picks the LSD radix
   /// kernel (kernels::SortRowsByColumns) above its break-even row count and

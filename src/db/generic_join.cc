@@ -413,13 +413,15 @@ void GenericJoin::Enumerate(const std::function<bool(const Tuple&)>& visitor) {
   run_status_ = budget_->status();
 }
 
-JoinResult GenericJoin::Evaluate() {
-  JoinResult out;
+FlatJoinResult GenericJoin::EvaluateFlat() {
+  FlatJoinResult out;
   out.attributes = attribute_order_;
+  const int arity = static_cast<int>(attribute_order_.size());
+  out.rows = FlatRelation(arity);
   if (ResolvedThreads() <= 1 || attribute_order_.empty()) {
-    // Charge after pushing: at a row limit R, exactly R rows materialize.
+    // Charge after appending: at a row limit R, exactly R rows materialize.
     Enumerate([this, &out](const Tuple& t) {
-      out.tuples.push_back(t);
+      out.rows.PushRow(t.data());
       return !budget_->ChargeRows(1);
     });
     run_status_ = budget_->status();
@@ -430,15 +432,15 @@ JoinResult GenericJoin::Evaluate() {
   GenericJoinStats run;
   RootCandidates candidates;
   if (ComputeRootCandidates(&candidates, &run)) {
-    // Contiguous chunks of candidates with per-chunk output buffers and
-    // stats (not per-candidate: one allocation per chunk, not per root
-    // value), merged in chunk order below — the result is bit-identical to
-    // the serial enumeration order at any thread count.
+    // Contiguous chunks of candidates with per-chunk flat buffers and stats
+    // (not per-candidate: one buffer per chunk, not per root value),
+    // appended in chunk order below — the result is bit-identical to the
+    // serial enumeration order at any thread count.
     const std::int64_t n = static_cast<std::int64_t>(candidates.values.size());
     const int threads = ResolvedThreads();
     const std::int64_t chunks =
         std::min<std::int64_t>(n, static_cast<std::int64_t>(threads) * 8);
-    std::vector<std::vector<Tuple>> buffers(chunks);
+    std::vector<FlatRelation> buffers(chunks, FlatRelation(arity));
     std::vector<GenericJoinStats> chunk_stats(chunks);
     util::ThreadPool::Shared().ParallelFor(
         0, chunks,
@@ -449,7 +451,7 @@ JoinResult GenericJoin::Evaluate() {
             Tuple binding(attribute_order_.size());
             bool stop = false;
             auto sink = [this, &buffers, &stop, c](const Tuple& t) {
-              buffers[c].push_back(t);
+              buffers[c].PushRow(t.data());
               if (budget_->ChargeRows(1)) {
                 stop = true;
                 return false;
@@ -464,17 +466,17 @@ JoinResult GenericJoin::Evaluate() {
           }
         },
         threads, /*min_grain=*/1, budget_.get());
+    std::size_t total = 0;
+    for (const FlatRelation& b : buffers) total += b.size();
+    out.rows.Reserve(total);
     for (std::int64_t c = 0; c < chunks; ++c) {
       run += chunk_stats[c];
-      out.tuples.insert(out.tuples.end(),
-                        std::make_move_iterator(buffers[c].begin()),
-                        std::make_move_iterator(buffers[c].end()));
+      out.rows.Append(buffers[c]);
+      buffers[c] = FlatRelation();
     }
-    // Concurrent chunks may each materialize a last row before observing the
-    // global row limit; clamp so the merged answer honours it exactly.
-    if (budget_->row_limit() > 0 && out.tuples.size() > budget_->row_limit()) {
-      out.tuples.resize(budget_->row_limit());
-    }
+    // Concurrent chunks may each append a last row before observing the
+    // global row limit; truncate so the merged answer honours it exactly.
+    if (budget_->row_limit() > 0) out.rows.Truncate(budget_->row_limit());
   }
   stats_ += run;
   ExportStats(run);

@@ -63,20 +63,20 @@ struct AtomRows {
 /// re-scanned or re-binary-searched during the descent. Runs in
 /// O~(N^{rho*}) total time.
 ///
-/// With `ctx.threads > 1` (or QC_THREADS set), Evaluate/Count/IsEmpty
+/// With `ctx.threads > 1` (or QC_THREADS set), EvaluateFlat/Count/IsEmpty
 /// partition the trie level-0 candidate values into contiguous chunks
-/// executed on the shared ThreadPool with per-chunk buffers and stats,
-/// merged in candidate order — the answer (and, for full traversals, the
+/// executed on the shared ThreadPool with per-chunk flat buffers and stats,
+/// appended in candidate order — the answer (and, for full traversals, the
 /// stats) are bit-identical to the serial run at any thread count.
 /// Enumerate always streams serially: its visitor contract (in-order
 /// delivery, early stop) is order-sensitive.
 ///
 /// The join observes the budget resolved from `ctx` (deadline, row limit,
-/// cancellation): the search polls it once per node and Evaluate charges one
-/// output row per materialized tuple. After any entry point, status()
+/// cancellation): the search polls it once per node and EvaluateFlat charges
+/// one output row per materialized tuple. After any entry point, status()
 /// reports how the run ended. Partial-result semantics on a trip:
-/// Evaluate returns the rows materialized so far with `truncated = true`
-/// (a subset of the true answer, at most `max_output_rows` rows when that
+/// EvaluateFlat returns the rows materialized so far with `truncated = true`
+/// (a subset of the true answer, exactly `max_output_rows` rows when that
 /// limit tripped); Count returns the count so far; IsEmpty's "empty" verdict
 /// is only trustworthy when status() == kCompleted ("non-empty" is always
 /// real). When the budget never trips, results are untouched.
@@ -103,8 +103,12 @@ class GenericJoin {
               const ExecutionContext& ctx)
       : GenericJoin(query, db, {}, ctx) {}
 
-  /// Materializes the full answer Q(D).
-  JoinResult Evaluate();
+  /// Materializes the full answer Q(D) into flat columnar storage, columns
+  /// in attribute_order().
+  FlatJoinResult EvaluateFlat();
+
+  /// Row-form adapter over EvaluateFlat().
+  JoinResult Evaluate() { return EvaluateFlat().ToRows(); }
 
   /// Decides emptiness (Boolean Join Query) with early exit.
   bool IsEmpty();

@@ -344,7 +344,7 @@ bool HybridJoin::ProfitableUnderAuto() const {
   return plan_.heavy_tuples >= 256 && avg_heavy_degree >= 16;
 }
 
-void HybridJoin::RunLight(Mode mode, std::vector<Tuple>* out,
+void HybridJoin::RunLight(Mode mode, FlatRelation* out,
                           std::uint64_t* count, bool* found) {
   static const std::uint32_t kLightSpan =
       util::Trace::InternName("hybrid.light");
@@ -357,10 +357,9 @@ void HybridJoin::RunLight(Mode mode, std::vector<Tuple>* out,
     GenericJoin gj(query_, db_, attribute_order_, ctx_, part.atoms);
     switch (mode) {
       case Mode::kEvaluate: {
-        JoinResult r = gj.Evaluate();
-        plan_.light_rows += r.tuples.size();
-        out->insert(out->end(), std::make_move_iterator(r.tuples.begin()),
-                    std::make_move_iterator(r.tuples.end()));
+        FlatJoinResult r = gj.EvaluateFlat();
+        plan_.light_rows += r.rows.size();
+        out->Append(r.rows);
         break;
       }
       case Mode::kCount: {
@@ -376,7 +375,7 @@ void HybridJoin::RunLight(Mode mode, std::vector<Tuple>* out,
   }
 }
 
-void HybridJoin::RunHeavy(Mode mode, std::vector<Tuple>* out,
+void HybridJoin::RunHeavy(Mode mode, FlatRelation* out,
                           std::uint64_t* count, bool* found) {
   static const std::uint32_t kHeavySpan =
       util::Trace::InternName("hybrid.heavy");
@@ -399,7 +398,7 @@ void HybridJoin::RunHeavy(Mode mode, std::vector<Tuple>* out,
   }
 }
 
-void HybridJoin::HeavyTriangle(Mode mode, std::vector<Tuple>* out,
+void HybridJoin::HeavyTriangle(Mode mode, FlatRelation* out,
                                std::uint64_t* count, bool* found) {
   // Attributes 0,1,2. MM prefilter: P = M(1,0)·M(0,2) marks the (b, c)
   // pairs with at least one heavy-0 witness; the per-pair witness set is
@@ -443,7 +442,7 @@ void HybridJoin::HeavyTriangle(Mode mode, std::vector<Tuple>* out,
           binding[0] = heavy_[0].values[a];
           binding[1] = heavy_[1].values[b];
           binding[2] = heavy_[2].values[c];
-          out->push_back(binding);
+          out->PushRow(binding);
           ++plan_.heavy_rows;
           // Charge after materializing, like GenericJoin: exactly
           // row_limit rows land at the limit.
@@ -456,7 +455,7 @@ void HybridJoin::HeavyTriangle(Mode mode, std::vector<Tuple>* out,
   }
 }
 
-void HybridJoin::HeavyFourCycle(Mode mode, std::vector<Tuple>* out,
+void HybridJoin::HeavyFourCycle(Mode mode, FlatRelation* out,
                                 std::uint64_t* count, bool* found) {
   const int c0 = cycle_[0], c1 = cycle_[1], c2 = cycle_[2], c3 = cycle_[3];
   // Two MM prefilters over the opposite corner pair (c0, c2): P1 routes
@@ -522,7 +521,7 @@ void HybridJoin::HeavyFourCycle(Mode mode, std::vector<Tuple>* out,
             ForEachBit(side_d.data(), d_words, [&](int d) {
               if (stop) return;
               binding[c3] = heavy_[c3].values[d];
-              out->push_back(binding);
+              out->PushRow(binding);
               ++plan_.heavy_rows;
               if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
             });
@@ -535,7 +534,7 @@ void HybridJoin::HeavyFourCycle(Mode mode, std::vector<Tuple>* out,
   }
 }
 
-void HybridJoin::HeavyClique(Mode mode, std::vector<Tuple>* out,
+void HybridJoin::HeavyClique(Mode mode, FlatRelation* out,
                              std::uint64_t* count, bool* found) {
   // k-clique (k = 4 or 5) by bitset descent over the heavy tuples of atom
   // (0,1): candidate sets for each later attribute are word-ANDs of the
@@ -583,7 +582,7 @@ void HybridJoin::HeavyClique(Mode mode, std::vector<Tuple>* out,
             ForEachBit(s3.data(), w3, [&](int d) {
               if (stop) return;
               binding[3] = heavy_[3].values[d];
-              out->push_back(binding);
+              out->PushRow(binding);
               ++plan_.heavy_rows;
               if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
             });
@@ -616,7 +615,7 @@ void HybridJoin::HeavyClique(Mode mode, std::vector<Tuple>* out,
             ForEachBit(s4d.data(), w4, [&](int e) {
               if (stop) return;
               binding[4] = heavy_[4].values[e];
-              out->push_back(binding);
+              out->PushRow(binding);
               ++plan_.heavy_rows;
               if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
             });
@@ -628,31 +627,31 @@ void HybridJoin::HeavyClique(Mode mode, std::vector<Tuple>* out,
   }
 }
 
-JoinResult HybridJoin::Evaluate() {
-  JoinResult result;
+FlatJoinResult HybridJoin::EvaluateFlat() {
+  FlatJoinResult result;
   result.attributes = attribute_order_;
+  result.rows = FlatRelation(static_cast<int>(attribute_order_.size()));
   if (!applicable()) return result;
   plan_.heavy_rows = 0;
   plan_.light_rows = 0;
   if (plan_.delegated) {
     GenericJoin gj(query_, db_, attribute_order_, ctx_);
-    result = gj.Evaluate();
-    plan_.light_rows = result.tuples.size();
+    result = gj.EvaluateFlat();
+    plan_.light_rows = result.rows.size();
     run_status_ = gj.status();
     return result;
   }
-  RunLight(Mode::kEvaluate, &result.tuples, nullptr, nullptr);
-  RunHeavy(Mode::kEvaluate, &result.tuples, nullptr, nullptr);
+  RunLight(Mode::kEvaluate, &result.rows, nullptr, nullptr);
+  RunHeavy(Mode::kEvaluate, &result.rows, nullptr, nullptr);
   {
     // The parts are disjoint, so this dedup never drops rows — the sort
-    // alone re-establishes GenericJoin's lexicographic output order.
+    // alone re-establishes GenericJoin's lexicographic output order. The
+    // radix scratch comes from the heap, not the monotonic ctx_.arena, so
+    // it is freed here instead of staying resident until the request ends.
     static const std::uint32_t kMergeSpan =
         util::Trace::InternName("hybrid.merge");
     util::ScopedSpan span(kMergeSpan);
-    std::sort(result.tuples.begin(), result.tuples.end());
-    result.tuples.erase(
-        std::unique(result.tuples.begin(), result.tuples.end()),
-        result.tuples.end());
+    result.rows.SortLexAndDedup();
   }
   run_status_ = Stopped() ? budget_->status() : util::RunStatus::kCompleted;
   result.truncated = run_status_ != util::RunStatus::kCompleted;

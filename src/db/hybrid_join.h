@@ -66,8 +66,9 @@ struct HybridPlan {
 /// bit-packed BoolMatrix rows — a blocked Boolean product over the kernels'
 /// word-OR path prunes the candidate pairs, then word-AND row intersections
 /// enumerate witnesses. The parts are disjoint by construction, so Count
-/// sums them and Evaluate's final sort+dedup merge reproduces GenericJoin's
-/// output bit-identically at any thread count and any QC_SIMD level.
+/// sums them and EvaluateFlat's final FlatRelation::SortLexAndDedup merge
+/// reproduces GenericJoin's output bit-identically at any thread count and
+/// any QC_SIMD level.
 ///
 /// Cache seam: each light residual hands its filtered atom rows to
 /// GenericJoin directly (AtomRows), which indexes them in private tries that
@@ -79,7 +80,7 @@ struct HybridPlan {
 /// Budget: both phases observe the budget resolved from `ctx` (the light
 /// residuals through GenericJoin's per-node poll, the heavy phase per MM
 /// row, per candidate tuple, and per emitted row). Partial-result semantics
-/// on a trip: Evaluate returns a subset of the answer with
+/// on a trip: EvaluateFlat returns a subset of the answer with
 /// `truncated = true` — unlike pure GenericJoin the subset is NOT a
 /// lexicographic prefix, because phases complete in partition order, not
 /// output order. Count returns a partial undercount; IsEmpty's "empty" is
@@ -104,7 +105,10 @@ class HybridJoin {
   /// whole instance through the trie engine.
   bool ProfitableUnderAuto() const;
 
-  JoinResult Evaluate();
+  /// The answer in flat columnar storage, lexicographically sorted.
+  FlatJoinResult EvaluateFlat();
+  /// Row-form adapter over EvaluateFlat().
+  JoinResult Evaluate() { return EvaluateFlat().ToRows(); }
   std::uint64_t Count();
   bool IsEmpty();
 
@@ -151,15 +155,15 @@ class HybridJoin {
 
   /// Runs one full evaluation; exactly one of out/count/found is used,
   /// matching `mode`.
-  void RunLight(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
+  void RunLight(Mode mode, FlatRelation* out, std::uint64_t* count,
                 bool* found);
-  void RunHeavy(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
+  void RunHeavy(Mode mode, FlatRelation* out, std::uint64_t* count,
                 bool* found);
-  void HeavyTriangle(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
+  void HeavyTriangle(Mode mode, FlatRelation* out, std::uint64_t* count,
                      bool* found);
-  void HeavyFourCycle(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
+  void HeavyFourCycle(Mode mode, FlatRelation* out, std::uint64_t* count,
                       bool* found);
-  void HeavyClique(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
+  void HeavyClique(Mode mode, FlatRelation* out, std::uint64_t* count,
                    bool* found);
 
   bool Stopped() const { return budget_ != nullptr && budget_->Stopped(); }

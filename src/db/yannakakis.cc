@@ -189,18 +189,18 @@ std::optional<FullReduction> ReduceAcyclicQuery(const JoinQuery& query,
   return red;
 }
 
-std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
-                                             const Database& db,
-                                             const ExecutionContext& ctx,
-                                             JoinStats* stats) {
+std::optional<FlatJoinResult> EvaluateYannakakisFlat(
+    const JoinQuery& query, const Database& db, const ExecutionContext& ctx,
+    JoinStats* stats) {
   std::shared_ptr<util::Budget> budget = ctx.ResolveBudget();
   std::optional<FullReduction> red = ReduceAcyclicQuery(
       query, db, Sweeps::kUpAndDown, budget.get(), ctx.index_cache, ctx.arena);
   if (!red.has_value()) return std::nullopt;
   const std::vector<std::string> want = query.AttributeOrder();
   if (budget->Stopped()) {
-    JoinResult out;
+    FlatJoinResult out;
     out.attributes = want;
+    out.rows = FlatRelation(static_cast<int>(want.size()));
     out.truncated = true;
     return out;
   }
@@ -222,24 +222,30 @@ std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
   ExecutionContext sub = ctx;
   sub.budget = budget;
   GenericJoin join(query, db, red->variables, sub, std::move(direct));
-  JoinResult out = join.Evaluate();
+  FlatJoinResult out = join.EvaluateFlat();
   if (stats != nullptr) stats->probes += join.stats().probes;
   if (out.attributes != want) {
-    std::vector<int> perm;
-    perm.reserve(want.size());
+    std::vector<int> src;
+    src.reserve(want.size());
     for (const auto& a : want) {
-      perm.push_back(static_cast<int>(
+      src.push_back(static_cast<int>(
           std::find(out.attributes.begin(), out.attributes.end(), a) -
           out.attributes.begin()));
     }
-    Tuple scratch;
-    for (Tuple& t : out.tuples) {
-      scratch = t;
-      for (std::size_t i = 0; i < perm.size(); ++i) t[i] = scratch[perm[i]];
-    }
+    out.rows.PermuteColumns(src);
     out.attributes = want;
   }
   return out;
+}
+
+std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
+                                             const Database& db,
+                                             const ExecutionContext& ctx,
+                                             JoinStats* stats) {
+  std::optional<FlatJoinResult> flat =
+      EvaluateYannakakisFlat(query, db, ctx, stats);
+  if (!flat.has_value()) return std::nullopt;
+  return flat->ToRows();
 }
 
 std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,

@@ -70,14 +70,20 @@ std::optional<FullReduction> ReduceAcyclicQuery(
 /// root-first variable order, which keeps the join within O(input + output)
 /// up to log factors. Unshrunk atoms keep their cached tries when
 /// `ctx.index_cache` is set; shrunk ones are handed over as private rows.
-/// The join runs at `ctx.threads` and reports into `ctx.counters`; its rows
-/// are permuted to query.AttributeOrder() only when the orders differ.
+/// The join runs at `ctx.threads` and reports into `ctx.counters`; its
+/// columns are permuted to query.AttributeOrder() only when the orders
+/// differ.
 /// Answers have set semantics and equal GenericJoin's after Normalize().
 /// Returns nullopt if the query is cyclic. Observes the budget resolved from
 /// `ctx`: on a trip the result has `truncated = true`, the canonical
 /// schema, and a subset of the answer (possibly empty); under a row limit R
 /// exactly R rows. `stats`, when set, receives the reduced atoms' rows as
 /// `intermediate_tuples`/`max_intermediate` and the join's probes.
+std::optional<FlatJoinResult> EvaluateYannakakisFlat(
+    const JoinQuery& query, const Database& db, const ExecutionContext& ctx,
+    JoinStats* stats = nullptr);
+
+/// Row-form adapter over EvaluateYannakakisFlat.
 std::optional<JoinResult> EvaluateYannakakis(const JoinQuery& query,
                                              const Database& db,
                                              const ExecutionContext& ctx,

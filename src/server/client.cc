@@ -213,6 +213,10 @@ QueryReply Client::QueryRoundTrip(api::Frame req) {
   QueryReply reply;
   if (!SendFrame(req, &reply.error)) return reply;
 
+  // Sum of the batch frames' `rows`, checked against hdr's total at `end`:
+  // a stream that lost or miscounted rows mid-answer must not decode as a
+  // shorter answer.
+  std::uint64_t batch_rows = 0;
   while (true) {
     api::Frame f;
     if (!RecvFrame(&f, &reply.error)) return reply;
@@ -247,11 +251,17 @@ QueryReply Client::QueryRoundTrip(api::Frame req) {
       }
       reply.analysis_text = f.body;
     } else if (f.kind == "batch") {
+      batch_rows += FieldUint(f, "rows");
       reply.row_text += f.body;
     } else if (f.kind == "report") {
       reply.report_json = f.body;
     } else if (f.kind == "end") {
       reply.code = FieldInt(f, "code");
+      if (batch_rows != reply.rows) {
+        reply.error = "protocol: hdr announced " + std::to_string(reply.rows) +
+                      " rows, batches carried " + std::to_string(batch_rows);
+        return reply;
+      }
       reply.ok = true;
       return reply;
     } else {

@@ -6,9 +6,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 
 #include "util/fault.h"
 #include "util/json.h"
@@ -50,7 +53,7 @@ api::Frame ErrorFrame(std::uint64_t id, int code, const std::string& reason,
   return frame;
 }
 
-bool SendAll(int fd, const std::string& data) {
+bool SendAll(int fd, std::string_view data) {
   if (util::FaultsEnabled() && util::FaultPoint("socket.write")) {
     return false;  // Injected connection failure: caller drops the conn.
   }
@@ -66,6 +69,63 @@ bool SendAll(int fd, const std::string& data) {
   }
   return true;
 }
+
+/// Longest decimal form of a db::Value: "-9223372036854775808".
+constexpr std::size_t kMaxValueChars = 20;
+
+/// Writes one row as its batch-body line at `out` and returns the end: the
+/// values in std::to_string's decimal form, space-separated, then '\n'.
+/// `out` must have room for arity * (kMaxValueChars + 1) + 1 bytes.
+char* WriteRowLine(const db::Value* row, int arity, char* out) {
+  for (int c = 0; c < arity; ++c) {
+    if (c > 0) *out++ = ' ';
+    out = std::to_chars(out, out + kMaxValueChars, row[c]).ptr;
+  }
+  *out++ = '\n';
+  return out;
+}
+
+/// One connection's reply writer: frames are encoded into a reused buffer
+/// of at most QueryServer::kWriteBufferBytes, which goes out with SendAll
+/// when the next frame would overflow it and on Flush() at the end of
+/// every reply. A frame larger than the whole buffer is written through.
+/// After the first failed send every call returns false.
+class FrameWriter {
+ public:
+  explicit FrameWriter(int fd) : fd_(fd) {
+    buf_.reserve(QueryServer::kWriteBufferBytes);
+  }
+
+  bool Write(const api::Frame& frame) {
+    if (failed_) return false;
+    header_.clear();
+    api::AppendFrameHeader(frame, &header_);
+    const std::size_t size = header_.size() + frame.body.size();
+    if (buf_.size() + size > QueryServer::kWriteBufferBytes && !Flush()) {
+      return false;
+    }
+    if (size > QueryServer::kWriteBufferBytes) {
+      failed_ = !SendAll(fd_, header_) || !SendAll(fd_, frame.body);
+      return !failed_;
+    }
+    buf_ += header_;
+    buf_ += frame.body;
+    return true;
+  }
+
+  bool Flush() {
+    if (failed_) return false;
+    if (!buf_.empty()) failed_ = !SendAll(fd_, buf_);
+    buf_.clear();
+    return !failed_;
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
+  std::string header_;
+  bool failed_ = false;
+};
 
 }  // namespace
 
@@ -193,8 +253,8 @@ std::vector<std::uint64_t> QueryServer::DedupWindow() const {
   return {dedup_order_.begin(), dedup_order_.end()};
 }
 
-std::vector<api::Frame> QueryServer::HandleRequest(
-    const api::Frame& request) {
+void QueryServer::HandleRequest(const api::Frame& request,
+                                const FrameSink& sink) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id = request.FindUint("id", 0);
   // Draining: in-flight work keeps going, new work gets a retryable
@@ -203,29 +263,33 @@ std::vector<api::Frame> QueryServer::HandleRequest(
       (request.kind == "query" || request.kind == "mutate" ||
        request.kind == "view_register" || request.kind == "view_read")) {
     drain_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 6, "server-draining",
-                       "server is draining; retry against a serving "
-                       "instance")};
+    sink(ErrorFrame(id, 6, "server-draining",
+                    "server is draining; retry against a serving "
+                    "instance"));
+    return;
   }
-  if (request.kind == "query") return HandleQuery(request);
-  if (request.kind == "mutate") return HandleMutate(request);
-  if (request.kind == "view_register") return HandleViewRegister(request);
-  if (request.kind == "view_read") return HandleViewRead(request);
-  if (request.kind == "ping") {
+  if (request.kind == "query") {
+    HandleQuery(request, sink);
+  } else if (request.kind == "view_read") {
+    HandleViewRead(request, sink);
+  } else if (request.kind == "mutate") {
+    sink(HandleMutate(request));
+  } else if (request.kind == "view_register") {
+    sink(HandleViewRegister(request));
+  } else if (request.kind == "ping") {
     api::Frame pong;
     pong.kind = "pong";
     pong.Add("id", std::to_string(id));
-    return {pong};
-  }
-  if (request.kind == "health") return {HandleHealth(id)};
-  if (request.kind == "stats") {
+    sink(pong);
+  } else if (request.kind == "health") {
+    sink(HandleHealth(id));
+  } else if (request.kind == "stats") {
     api::Frame reply;
     reply.kind = "stats-reply";
     reply.Add("id", std::to_string(id));
     reply.body = StatsJson();
-    return {reply};
-  }
-  if (request.kind == "shutdown") {
+    sink(reply);
+  } else if (request.kind == "shutdown") {
     Drain();  // In-flight work finishes; new work is rejected retryably.
     shutdown_requested_.store(true, std::memory_order_relaxed);
     CloseListener();  // Unblocks the accept loop; Wait() returns.
@@ -233,11 +297,22 @@ std::vector<api::Frame> QueryServer::HandleRequest(
     end.kind = "end";
     end.Add("id", std::to_string(id));
     end.Add("code", "0");
-    return {end};
+    sink(end);
+  } else {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    sink(ErrorFrame(id, 2, "bad-request",
+                    "unknown request kind '" + request.kind + "'"));
   }
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  return {ErrorFrame(id, 2, "bad-request",
-                     "unknown request kind '" + request.kind + "'")};
+}
+
+std::vector<api::Frame> QueryServer::HandleRequest(
+    const api::Frame& request) {
+  std::vector<api::Frame> frames;
+  HandleRequest(request, [&frames](const api::Frame& frame) {
+    frames.push_back(frame);
+    return true;
+  });
+  return frames;
 }
 
 api::Frame QueryServer::HandleHealth(std::uint64_t id) const {
@@ -257,32 +332,68 @@ api::Frame QueryServer::HandleHealth(std::uint64_t id) const {
   return reply;
 }
 
-std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
+void QueryServer::HandleQuery(const api::Frame& request,
+                              const FrameSink& sink) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id = request.FindUint("id", 0);
 
-  api::SessionOptions opts = options_.session;
-  opts.report_json.clear();  // Per-request reports travel on the wire.
-  bool want_analysis = false;
+  api::QueryRequest qreq;
+  qreq.id = id;
+  qreq.query_text = request.body;
+  qreq.options = options_.session;
+  qreq.options.report_json.clear();  // Per-request reports travel on the wire.
   for (const auto& [key, value] : request.fields) {
     if (key == "id") continue;
     if (key == "want_analysis") {
-      want_analysis = value == "1" || value == "true";
+      qreq.want_analysis = value == "1" || value == "true";
       continue;
     }
     if (IsPerQueryOption(key)) {
       std::string err;
-      if (!api::SetSessionOption(&opts, key, value, &err)) {
+      if (!api::SetSessionOption(&qreq.options, key, value, &err)) {
         input_errors_.fetch_add(1, std::memory_order_relaxed);
-        return {ErrorFrame(id, 2, "bad-request", err)};
+        sink(ErrorFrame(id, 2, "bad-request", err));
+        return;
       }
       continue;
     }
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 2, "bad-request",
-                       "unknown request field '" + key + "'")};
+    sink(ErrorFrame(id, 2, "bad-request",
+                    "unknown request field '" + key + "'"));
+    return;
   }
 
+  api::QueryResponse resp;
+  if (std::optional<api::Frame> rejection = AdmitAndExecute(qreq, &resp)) {
+    sink(*rejection);
+    return;
+  }
+  if (!resp.input_ok) {
+    input_errors_.fetch_add(1, std::memory_order_relaxed);
+    sink(ErrorFrame(id, 1, "input", resp.error));
+    return;
+  }
+  if (resp.internal_error) {
+    // Resource failure inside the engine (bad_alloc — real or injected):
+    // the request dies structurally, the server and every other request
+    // keep going, and the client may retry.
+    sink(ErrorFrame(id, 7, "internal", resp.error));
+    return;
+  }
+  resp.report.tool = "qc_serverd";
+  resp.report.server.present = true;
+  resp.report.server.request_id = id;
+  if (!views_.empty()) api::FillIvmSection(&resp.report, views_.stats());
+
+  // 4. Stream: hdr, bounded row batches, per-request report, end.
+  RowReply(id, resp.status, resp.method, resp.result.truncated,
+           resp.report.server.snapshot_epoch, resp.result.attributes,
+           resp.result.rows, std::move(resp.analysis_text), resp.report, sink);
+}
+
+std::optional<api::Frame> QueryServer::AdmitAndExecute(
+    const api::QueryRequest& qreq, api::QueryResponse* resp) {
+  const std::uint64_t id = qreq.id;
   // 1. Admission: queue-or-reject before any work is done. A saturated
   // queue pushes back on this request alone with a structured diagnostic
   // instead of degrading every running client.
@@ -304,7 +415,7 @@ std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
             " running, " + std::to_string(d.queue_depth) + " queued)");
     frame.Add("queue_depth", std::to_string(d.queue_depth));
     frame.Add("running", std::to_string(d.running));
-    return {frame};
+    return frame;
   }
 
   // 1b. Deadline-aware shedding: a request whose deadline already elapsed
@@ -312,14 +423,14 @@ std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
   // to produce a deadline error. Shed it now with its own structured
   // diagnostic — a retry (with fresh deadline) may well succeed, so the
   // deadline code 4 is augmented with an explicit shed reason.
-  if (opts.deadline_ms > 0 &&
-      ticket.decision().queue_ms >= static_cast<double>(opts.deadline_ms)) {
+  const std::uint64_t deadline_ms = qreq.options.deadline_ms;
+  if (deadline_ms > 0 &&
+      ticket.decision().queue_ms >= static_cast<double>(deadline_ms)) {
     queue_sheds_.fetch_add(1, std::memory_order_relaxed);
     api::Frame frame = ErrorFrame(
         id, util::ExitCode(util::RunStatus::kDeadlineExceeded),
         "shed-queue-deadline",
-        "deadline_ms=" + std::to_string(opts.deadline_ms) +
-            " elapsed during " +
+        "deadline_ms=" + std::to_string(deadline_ms) + " elapsed during " +
             std::to_string(static_cast<std::uint64_t>(
                 ticket.decision().queue_ms)) +
             "ms in the admission queue; request shed before execution",
@@ -327,7 +438,7 @@ std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
     frame.Add("queue_ms",
               std::to_string(static_cast<std::uint64_t>(
                   ticket.decision().queue_ms)));
-    return {frame};
+    return frame;
   }
 
   // 2. Snapshot: pin an immutable MVCC view. Writers keep going; this
@@ -335,47 +446,25 @@ std::vector<api::Frame> QueryServer::HandleQuery(const api::Frame& request) {
   // shared IndexCache warm across snapshots.
   db::MvccSnapshot snapshot = mvcc_.Snapshot();
 
-  // 3. Execute under the merged per-request budget.
-  api::QueryRequest qreq;
-  qreq.id = id;
-  qreq.query_text = request.body;
-  qreq.options = opts;
-  qreq.want_analysis = want_analysis;
-  api::QueryResponse resp = api::ExecuteQuery(qreq, *snapshot.db,
-                                              cache_.get());
-  if (!resp.input_ok) {
-    input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 1, "input", resp.error)};
-  }
-  if (resp.internal_error) {
-    // Resource failure inside the engine (bad_alloc — real or injected):
-    // the request dies structurally, the server and every other request
-    // keep going, and the client may retry.
-    return {ErrorFrame(id, 7, "internal", resp.error)};
-  }
-  resp.report.tool = "qc_serverd";
-  resp.report.server.present = true;
-  resp.report.server.request_id = id;
-  resp.report.server.queue_ms = ticket.decision().queue_ms;
-  resp.report.server.snapshot_epoch = snapshot.epoch;
-  if (!views_.empty()) api::FillIvmSection(&resp.report, views_.stats());
-
-  // 4. Stream: hdr, bounded row batches, per-request report, end.
-  return RowReply(id, resp.status, resp.method, resp.result.truncated,
-                  snapshot.epoch, resp.result.attributes, resp.result.tuples,
-                  std::move(resp.analysis_text), resp.report);
+  // 3. Execute under the merged per-request budget. The columnar result
+  // owns its rows, so it outlives the snapshot.
+  *resp = api::ExecuteQuery(qreq, *snapshot.db, cache_.get());
+  resp->report.server.queue_ms = ticket.decision().queue_ms;
+  resp->report.server.snapshot_epoch = snapshot.epoch;
+  return std::nullopt;
 }
 
-std::vector<api::Frame> QueryServer::RowReply(
-    std::uint64_t id, util::RunStatus status, const std::string& method,
-    bool truncated, std::uint64_t epoch,
-    const std::vector<std::string>& attributes,
-    const std::vector<db::Tuple>& rows, std::string analysis,
-    const util::RunReport& report) const {
-  std::vector<api::Frame> frames;
+void QueryServer::RowReply(std::uint64_t id, util::RunStatus status,
+                           const std::string& method, bool truncated,
+                           std::uint64_t epoch,
+                           const std::vector<std::string>& attributes,
+                           const db::FlatRelation& rows, std::string analysis,
+                           const util::RunReport& report,
+                           const FrameSink& sink) const {
+  const std::string id_text = std::to_string(id);
   api::Frame hdr;
   hdr.kind = "hdr";
-  hdr.Add("id", std::to_string(id));
+  hdr.Add("id", id_text);
   hdr.Add("status", std::string(util::ToString(status)));
   hdr.Add("method", method);
   hdr.Add("rows", std::to_string(rows.size()));
@@ -388,52 +477,53 @@ std::vector<api::Frame> QueryServer::RowReply(
   }
   hdr.Add("attributes", attrs);
   hdr.body = std::move(analysis);
-  frames.push_back(std::move(hdr));
+  if (!sink(hdr)) return;
 
+  // One batch frame reused for every batch: its body is rebuilt from a
+  // scratch buffer sized for a full batch of worst-case values.
   const std::size_t batch_rows =
       options_.batch_rows > 0 ? static_cast<std::size_t>(options_.batch_rows)
                               : 256;
+  const int arity = rows.arity();
+  std::vector<char> text(
+      std::min(batch_rows, rows.size()) *
+      (static_cast<std::size_t>(arity) * (kMaxValueChars + 1) + 1));
+  api::Frame batch;
+  batch.kind = "batch";
+  batch.Add("id", id_text);
+  batch.Add("rows", "");
   for (std::size_t begin = 0; begin < rows.size(); begin += batch_rows) {
-    std::size_t end = std::min(begin + batch_rows, rows.size());
-    api::Frame batch;
-    batch.kind = "batch";
-    batch.Add("id", std::to_string(id));
-    batch.Add("rows", std::to_string(end - begin));
+    const std::size_t end = std::min(begin + batch_rows, rows.size());
+    char* out = text.data();
     for (std::size_t i = begin; i < end; ++i) {
-      std::string line;
-      for (db::Value v : rows[i]) {
-        if (!line.empty()) line += ' ';
-        line += std::to_string(v);
-      }
-      batch.body += line;
-      batch.body += '\n';
+      out = WriteRowLine(rows.Row(i), arity, out);
     }
-    frames.push_back(std::move(batch));
+    batch.fields.back().second = std::to_string(end - begin);
+    batch.body.assign(text.data(), out);
+    if (!sink(batch)) return;
   }
 
   api::Frame report_frame;
   report_frame.kind = "report";
-  report_frame.Add("id", std::to_string(id));
+  report_frame.Add("id", id_text);
   report_frame.body = report.ToJson();
-  frames.push_back(std::move(report_frame));
+  if (!sink(report_frame)) return;
 
   api::Frame end;
   end.kind = "end";
-  end.Add("id", std::to_string(id));
+  end.Add("id", id_text);
   end.Add("code", std::to_string(util::ExitCode(status)));
-  frames.push_back(std::move(end));
-  return frames;
+  sink(end);
 }
 
-std::vector<api::Frame> QueryServer::HandleViewRegister(
-    const api::Frame& request) {
+api::Frame QueryServer::HandleViewRegister(const api::Frame& request) {
   view_registers_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id = request.FindUint("id", 0);
   const std::string* name = request.Find("name");
   if (name == nullptr || name->empty()) {
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 2, "bad-request",
-                       "view_register needs a non-empty 'name' field")};
+    return ErrorFrame(id, 2, "bad-request",
+                      "view_register needs a non-empty 'name' field");
   }
   std::string kind = "join";
   if (const std::string* k = request.Find("kind")) kind = *k;
@@ -451,24 +541,24 @@ std::vector<api::Frame> QueryServer::HandleViewRegister(
     record.arity = 1;
   } else {
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 2, "bad-request",
-                       "unknown view kind '" + kind +
-                           "' (expected join|triangle_count)")};
+    return ErrorFrame(id, 2, "bad-request",
+                      "unknown view kind '" + kind +
+                          "' (expected join|triangle_count)");
   }
   db::ViewDefinition def;
   db::MutationResult parsed = db::ViewDefinitionFromRecord(record, &def);
   if (!parsed) {
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 1, "input", parsed.message)};
+    return ErrorFrame(id, 1, "input", parsed.message);
   }
   db::MutationResult registered = mvcc_.RegisterView(def);
   if (!registered) {
     if (registered.message.rfind("wal append failed", 0) == 0) {
       // Durability failed, not the definition: retryable, like a mutate.
-      return {ErrorFrame(id, 7, "wal", registered.message)};
+      return ErrorFrame(id, 7, "wal", registered.message);
     }
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 1, "input", registered.message)};
+    return ErrorFrame(id, 1, "input", registered.message);
   }
   db::ViewRead state = views_.Read(*name);
   api::Frame end;
@@ -478,24 +568,26 @@ std::vector<api::Frame> QueryServer::HandleViewRegister(
   end.Add("name", *name);
   end.Add("rows", std::to_string(state.rows.size()));
   end.Add("epoch", std::to_string(state.epoch));
-  return {end};
+  return end;
 }
 
-std::vector<api::Frame> QueryServer::HandleViewRead(
-    const api::Frame& request) {
+void QueryServer::HandleViewRead(const api::Frame& request,
+                                 const FrameSink& sink) {
   view_reads_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id = request.FindUint("id", 0);
   const std::string* name = request.Find("name");
   if (name == nullptr || name->empty()) {
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 2, "bad-request",
-                       "view_read needs a non-empty 'name' field")};
+    sink(ErrorFrame(id, 2, "bad-request",
+                    "view_read needs a non-empty 'name' field"));
+    return;
   }
   const auto started = std::chrono::steady_clock::now();
   db::ViewRead state = views_.Read(*name);
   if (!state.ok) {
     input_errors_.fetch_add(1, std::memory_order_relaxed);
-    return {ErrorFrame(id, 1, "input", state.error)};
+    sink(ErrorFrame(id, 1, "input", state.error));
+    return;
   }
 
   // Answered from maintained state: no admission ticket, no snapshot, no
@@ -516,12 +608,14 @@ std::vector<api::Frame> QueryServer::HandleViewRead(
                        std::chrono::steady_clock::now() - started)
                        .count();
 
-  return RowReply(id, util::RunStatus::kCompleted, "ivm", /*truncated=*/false,
-                  state.epoch, state.attributes, state.rows, /*analysis=*/"",
-                  report);
+  RowReply(id, util::RunStatus::kCompleted, "ivm", /*truncated=*/false,
+           state.epoch, state.attributes,
+           db::FlatRelation::FromRows(
+               static_cast<int>(state.attributes.size()), state.rows),
+           /*analysis=*/"", report, sink);
 }
 
-std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
+api::Frame QueryServer::HandleMutate(const api::Frame& request) {
   mutations_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id = request.FindUint("id", 0);
   const std::uint64_t request_id = request.FindUint("request_id", 0);
@@ -531,7 +625,7 @@ std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
     std::string err;
     if (!api::SetSessionOption(&tmp, "on_input_error", *v, &err)) {
       input_errors_.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorFrame(id, 2, "bad-request", err)};
+      return ErrorFrame(id, 2, "bad-request", err);
     }
     continue_on_error = tmp.continue_on_input_error;
   }
@@ -559,7 +653,7 @@ std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
   // atomic with the apply; two concurrent retries of the same id can both
   // get past this unlocked look.
   if (request_id != 0 && SeenRequestId(request_id)) {
-    return {dedup_ack()};
+    return dedup_ack();
   }
 
   db::WalRecord record;
@@ -593,7 +687,7 @@ std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
         if (applied) RememberRequestId(request_id);
         return applied;
       });
-  if (deduped) return {dedup_ack()};
+  if (deduped) return dedup_ack();
   const api::DatasetLoad& load = staging.load;
 
   std::string diag_body;
@@ -609,13 +703,13 @@ std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
             " error(s); nothing applied");
     frame.Add("diagnostics", std::to_string(load.diagnostics.size()));
     frame.body = diag_body;
-    return {frame};
+    return frame;
   }
   if (!committed) {
     // The dataset was valid but durability failed (WAL I/O error or
     // injected fault). Nothing was applied — staged-clone rollback — so a
     // retry is safe and may succeed once the log is writable again.
-    return {ErrorFrame(id, 7, "wal", committed.message)};
+    return ErrorFrame(id, 7, "wal", committed.message);
   }
   // Opportunistic compaction keeps wal.log bounded; failure is non-fatal
   // (the log just stays long) but is surfaced in stats via the WAL stats.
@@ -633,7 +727,7 @@ std::vector<api::Frame> QueryServer::HandleMutate(const api::Frame& request) {
   end.Add("diagnostics", std::to_string(load.diagnostics.size()));
   end.Add("epoch", std::to_string(mvcc_.Epoch()));
   end.body = diag_body;
-  return {end};
+  return end;
 }
 
 ServerStats QueryServer::stats() const {
@@ -806,28 +900,27 @@ void QueryServer::AcceptLoop() {
   }
 }
 
-void QueryServer::ServeConnection(int fd, std::uint64_t conn_id) {
+void QueryServer::ServeStream(int fd) {
   api::FrameParser parser;
+  FrameWriter writer(fd);
+  const FrameSink sink = [&writer](const api::Frame& frame) {
+    return writer.Write(frame);
+  };
   char buf[1 << 16];
-  bool open = true;
-  while (open) {
+  while (true) {
     api::Frame frame;
     std::string err;
     api::FrameParser::Result r = parser.Next(&frame, &err);
     if (r == api::FrameParser::Result::kFrame) {
-      std::vector<api::Frame> replies = HandleRequest(frame);
-      for (const api::Frame& reply : replies) {
-        if (!SendAll(fd, api::EncodeFrame(reply))) {
-          open = false;
-          break;
-        }
-      }
-      if (frame.kind == "shutdown") open = false;
+      HandleRequest(frame, sink);
+      // A failed write stops the reply mid-stream; the connection closes.
+      if (!writer.Flush() || frame.kind == "shutdown") break;
       continue;
     }
     if (r == api::FrameParser::Result::kError) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(fd, api::EncodeFrame(ErrorFrame(0, 2, "protocol", err)));
+      writer.Write(ErrorFrame(0, 2, "protocol", err));
+      writer.Flush();
       break;
     }
     if (util::FaultsEnabled() && util::FaultPoint("socket.read")) {
@@ -838,6 +931,10 @@ void QueryServer::ServeConnection(int fd, std::uint64_t conn_id) {
     if (n <= 0) break;  // Peer closed, reset, or read-side shutdown.
     parser.Feed(buf, static_cast<std::size_t>(n));
   }
+}
+
+void QueryServer::ServeConnection(int fd, std::uint64_t conn_id) {
+  ServeStream(fd);
   ::close(fd);
   {
     std::lock_guard<std::mutex> lock(conn_mu_);

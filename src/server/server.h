@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -82,6 +84,10 @@ struct ServerStats {
   bool wal_enabled = false;
 };
 
+/// Receives one reply's frames in order. Returns false once a frame cannot
+/// be delivered (the connection failed); the reply stops there.
+using FrameSink = std::function<bool(const api::Frame&)>;
+
 /// qc_serverd's engine: a long-lived multi-tenant query service over one
 /// MvccDatabase.
 ///
@@ -96,9 +102,15 @@ struct ServerStats {
 ///                   IndexCache entries stay valid across snapshots since
 ///                   they are immutable and version-keyed);
 ///   3. execute    — api::ExecuteQuery under the per-request budget merged
-///                   from the server session defaults;
-///   4. stream     — result rows go out in bounded "batch" frames followed
-///                   by a per-request RunReport frame.
+///                   from the server session defaults, into one columnar
+///                   result; the admission slot and the snapshot are
+///                   released here, before any reply frame is built;
+///   4. stream     — hdr (whose `rows` is why the answer is fully evaluated
+///                   before the first byte), then "batch" frames encoded
+///                   straight from the result's columns into the FrameSink,
+///                   then a per-request RunReport frame and `end`. Over a
+///                   socket the sink coalesces encoded frames into one
+///                   reused write buffer of at most kWriteBufferBytes.
 ///
 /// Mutations (`mutate` frames) apply the shared dataset format as one
 /// serialized write transaction with line-numbered diagnostics and the
@@ -121,6 +133,12 @@ struct ServerStats {
 /// loopback TCP front end (one thread per connection, frames over qcp/1).
 class QueryServer {
  public:
+  /// Per-connection reply buffer: encoded frames are coalesced into it and
+  /// written out when the next frame would overflow it and at the end of
+  /// every reply, so server-side reply buffering is bounded by this, not by
+  /// the answer.
+  static constexpr std::size_t kWriteBufferBytes = std::size_t{16} << 10;
+
   explicit QueryServer(const ServerOptions& options);
   ~QueryServer();
   QueryServer(const QueryServer&) = delete;
@@ -170,30 +188,44 @@ class QueryServer {
     CloseListener();
   }
 
-  /// Serves one request frame, returning the reply frame sequence. Thread-
-  /// safe; this is the whole server minus sockets.
+  /// Serves one request frame, handing its reply frames to `sink` in
+  /// order and stopping at the first frame the sink refuses. Thread-safe;
+  /// this is the whole server minus sockets.
+  void HandleRequest(const api::Frame& request, const FrameSink& sink);
+
+  /// HandleRequest collecting the reply frames into a vector.
   std::vector<api::Frame> HandleRequest(const api::Frame& request);
+
+  /// Serves qcp/1 request frames read from the connected stream socket `fd`
+  /// until the peer closes, a reply write fails or a `shutdown` frame is
+  /// served. Does not close `fd`. Each connection thread runs this.
+  void ServeStream(int fd);
 
   ServerStats stats() const;
   /// Stats as JSON (the `stats` frame body).
   std::string StatsJson() const;
 
  private:
-  std::vector<api::Frame> HandleQuery(const api::Frame& request);
-  std::vector<api::Frame> HandleMutate(const api::Frame& request);
-  std::vector<api::Frame> HandleViewRegister(const api::Frame& request);
-  std::vector<api::Frame> HandleViewRead(const api::Frame& request);
+  void HandleQuery(const api::Frame& request, const FrameSink& sink);
+  /// Steps 1-3 of the request lifecycle: admission, snapshot, execute into
+  /// `resp`. Returns the rejection frame when admission refuses or sheds
+  /// the request. The admission slot and the snapshot are released when
+  /// this returns, so a slow reader of the reply holds neither.
+  std::optional<api::Frame> AdmitAndExecute(const api::QueryRequest& qreq,
+                                            api::QueryResponse* resp);
+  api::Frame HandleMutate(const api::Frame& request);
+  api::Frame HandleViewRegister(const api::Frame& request);
+  void HandleViewRead(const api::Frame& request, const FrameSink& sink);
   /// The reply stream of a row-returning request, shared by HandleQuery
   /// and HandleViewRead so clients decode both with one path: hdr (with
-  /// `analysis` as its body), row batches of options_.batch_rows, the
-  /// report, and end carrying util::ExitCode(status).
-  std::vector<api::Frame> RowReply(std::uint64_t id, util::RunStatus status,
-                                   const std::string& method, bool truncated,
-                                   std::uint64_t epoch,
-                                   const std::vector<std::string>& attributes,
-                                   const std::vector<db::Tuple>& rows,
-                                   std::string analysis,
-                                   const util::RunReport& report) const;
+  /// `analysis` as its body), row batches of options_.batch_rows encoded
+  /// from `rows`' columns, the report, and end carrying
+  /// util::ExitCode(status). Stops at the first frame `sink` refuses.
+  void RowReply(std::uint64_t id, util::RunStatus status,
+                const std::string& method, bool truncated, std::uint64_t epoch,
+                const std::vector<std::string>& attributes,
+                const db::FlatRelation& rows, std::string analysis,
+                const util::RunReport& report, const FrameSink& sink) const;
   api::Frame HandleHealth(std::uint64_t id) const;
   void AcceptLoop();
   void ServeConnection(int fd, std::uint64_t conn_id);

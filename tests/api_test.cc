@@ -345,7 +345,7 @@ TEST(QueryApiTest, ExecuteQueryAgainstDatabase) {
   api::QueryResponse resp = api::ExecuteQuery(req, db, nullptr);
   ASSERT_TRUE(resp.input_ok) << resp.error;
   EXPECT_EQ(resp.ExitCode(), 0);
-  EXPECT_EQ(resp.result.tuples.size(), 2u);
+  EXPECT_EQ(resp.result.rows.size(), 2u);
   EXPECT_FALSE(resp.method.empty());
   EXPECT_FALSE(resp.analysis_text.empty());
   EXPECT_EQ(resp.report.server.request_id, 9u);
@@ -379,7 +379,7 @@ TEST(QueryApiTest, MaxRowsTruncatesWithBudgetExhaustedStatus) {
   EXPECT_EQ(resp.status, util::RunStatus::kBudgetExhausted);
   EXPECT_EQ(resp.ExitCode(), 5);
   EXPECT_TRUE(resp.result.truncated);
-  EXPECT_LE(resp.result.tuples.size(), 2u);
+  EXPECT_LE(resp.result.rows.size(), 2u);
 }
 
 // --- LoadDatasetFile: I/O failures vs parse failures --------------------

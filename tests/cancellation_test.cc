@@ -475,9 +475,15 @@ TEST(CancellationRowLimit, ParallelEvaluateClampsToMaxRows) {
     ctx.max_output_rows = 10;
     db::GenericJoin join(q, d, ctx);
     db::JoinResult r = join.Evaluate();
-    EXPECT_LE(r.tuples.size(), 10u);
+    EXPECT_EQ(r.tuples.size(), 10u);
     EXPECT_TRUE(r.truncated);
     EXPECT_EQ(join.status(), util::RunStatus::kBudgetExhausted);
+    // Concurrent chunks overshoot the limit; the merged flat buffer is
+    // truncated back to exactly max_rows.
+    db::GenericJoin flat_join(q, d, ctx);
+    db::FlatJoinResult flat = flat_join.EvaluateFlat();
+    EXPECT_EQ(flat.rows.size(), 10u);
+    EXPECT_TRUE(flat.truncated);
   }
 }
 

@@ -383,7 +383,7 @@ TEST(HybridJoinRoutingTest, OnForcesHybridAndMatchesOff) {
   core::AutoQueryResult forced = core::EvaluateQueryAuto(q, db, on);
   EXPECT_EQ(forced.method, core::SolveMethod::kHybridJoin);
   EXPECT_EQ(forced.plan.pattern, HybridPattern::kTriangle);
-  EXPECT_EQ(forced.result.tuples, base.result.tuples);
+  EXPECT_EQ(forced.result.rows.data(), base.result.rows.data());
 }
 
 TEST(HybridJoinRoutingTest, AutoRejectionStillRecordsPlan) {

@@ -21,6 +21,7 @@
 #include "db/database.h"
 #include "db/enumeration.h"
 #include "db/generic_join.h"
+#include "db/hybrid_join.h"
 #include "db/yannakakis.h"
 #include "graph/boolmatrix.h"
 #include "gtest/gtest.h"
@@ -459,15 +460,20 @@ TEST(BoolMmKernelTest, MultiplyIdenticalAcrossLevelsAndThreads) {
 
 /// Evaluates `q` against `d` with a forced kernel level and thread count,
 /// routing scratch through a per-run arena exactly like api::ExecuteQuery.
-db::JoinResult EvalGenericJoin(const db::JoinQuery& q, const db::Database& d,
-                               SimdLevel level, int threads) {
+/// Returns the columnar result; its rows must equal the row adapter's.
+db::FlatJoinResult EvalGenericJoin(const db::JoinQuery& q,
+                                   const db::Database& d, SimdLevel level,
+                                   int threads) {
   ScopedSimdLevel force(level);
   util::Arena arena;
   ExecutionContext ctx;
   ctx.threads = threads;
   ctx.arena = &arena;
-  db::GenericJoin join(q, d, ctx);
-  return join.Evaluate();
+  db::FlatJoinResult flat = db::GenericJoin(q, d, ctx).EvaluateFlat();
+  db::JoinResult rows = db::GenericJoin(q, d, ctx).Evaluate();
+  EXPECT_EQ(flat.attributes, rows.attributes);
+  EXPECT_EQ(flat.rows.ToRows(), rows.tuples);
+  return flat;
 }
 
 TEST(EngineSimdIdentityTest, GenericJoinBitIdenticalAcrossLevelsAndThreads) {
@@ -486,15 +492,16 @@ TEST(EngineSimdIdentityTest, GenericJoinBitIdenticalAcrossLevelsAndThreads) {
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     // Dense domain so level spans are long enough to hit the kernel path.
     db::Database d = db::RandomDatabase(queries[qi], 900, 60, &rng);
-    db::JoinResult ref =
+    db::FlatJoinResult ref =
         EvalGenericJoin(queries[qi], d, SimdLevel::kScalar, 1);
     for (SimdLevel level : SupportedLevels()) {
       for (int threads : {1, 2, 8}) {
-        db::JoinResult got = EvalGenericJoin(queries[qi], d, level, threads);
+        db::FlatJoinResult got =
+            EvalGenericJoin(queries[qi], d, level, threads);
         ASSERT_EQ(got.attributes, ref.attributes)
             << "query " << qi << " level " << kernels::SimdLevelName(level)
             << " threads " << threads;
-        ASSERT_EQ(got.tuples, ref.tuples)
+        ASSERT_EQ(got.rows.data(), ref.rows.data())
             << "query " << qi << " level " << kernels::SimdLevelName(level)
             << " threads " << threads;
       }
@@ -566,6 +573,11 @@ TEST(EngineSimdIdentityTest, YannakakisMatchesReferenceAtEveryLevelAndThreads) {
         ctx.threads = threads;
         std::optional<db::JoinResult> got = db::EvaluateYannakakis(q, d, ctx);
         ASSERT_TRUE(got.has_value());
+        std::optional<db::FlatJoinResult> flat =
+            db::EvaluateYannakakisFlat(q, d, ctx);
+        ASSERT_TRUE(flat.has_value());
+        EXPECT_EQ(flat->attributes, got->attributes);
+        EXPECT_EQ(flat->rows.ToRows(), got->tuples);
         if (!first.has_value()) first = got;
         EXPECT_EQ(got->attributes, q.AttributeOrder());
         EXPECT_EQ(got->tuples, first->tuples)
@@ -577,6 +589,40 @@ TEST(EngineSimdIdentityTest, YannakakisMatchesReferenceAtEveryLevelAndThreads) {
             << "duplicate answers";
         EXPECT_EQ(normalized.tuples, reference.tuples);
       }
+    }
+  }
+}
+
+TEST(EngineSimdIdentityTest, HybridMergeFlatMatchesRowsAndReference) {
+  // The hybrid's merge sorts the light and heavy parts in flat storage;
+  // the result equals the row adapter, GenericJoin and the nested-loop
+  // reference at every SIMD level and thread count.
+  db::JoinQuery q;
+  q.atoms.push_back({"R1", {"a", "b"}});
+  q.atoms.push_back({"R2", {"a", "c"}});
+  q.atoms.push_back({"R3", {"b", "c"}});
+  util::Rng rng(8080);
+  db::Database d = db::RandomDatabase(q, 300, 24, &rng);
+  db::JoinResult reference = db::EvaluateNestedLoop(q, d);
+  reference.Normalize();
+  ASSERT_FALSE(reference.tuples.empty());
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel force(level);
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(kernels::SimdLevelName(level)) + " threads " +
+                   std::to_string(threads));
+      ExecutionContext ctx;
+      ctx.threads = threads;
+      db::HybridJoin flat_join(q, d, ctx, /*delta=*/12);
+      ASSERT_FALSE(flat_join.plan().delegated);
+      db::FlatJoinResult flat = flat_join.EvaluateFlat();
+      EXPECT_GT(flat_join.plan().heavy_rows, 0u);
+      EXPECT_GT(flat_join.plan().light_rows, 0u);
+      db::JoinResult rows = db::HybridJoin(q, d, ctx, 12).Evaluate();
+      EXPECT_EQ(flat.attributes, rows.attributes);
+      EXPECT_EQ(flat.rows.ToRows(), rows.tuples);
+      EXPECT_EQ(rows.tuples, reference.tuples);
+      EXPECT_EQ(rows.tuples, db::GenericJoin(q, d, ctx).Evaluate().tuples);
     }
   }
 }

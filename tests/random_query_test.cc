@@ -101,7 +101,7 @@ TEST(AcyclicRouteTest, ServedJoinExpandsOnlyAnswerPrefixes) {
   ctx.counters = &served;
   core::AutoQueryResult routed = core::EvaluateQueryAuto(q, d, ctx);
   ASSERT_EQ(routed.method, core::SolveMethod::kYannakakis);
-  const std::uint64_t output = routed.result.tuples.size();
+  const std::uint64_t output = routed.result.rows.size();
   EXPECT_EQ(output, 200u);
   const std::uint64_t bound =
       (reduced_rows + output) * q.AttributeOrder().size();

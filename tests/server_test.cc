@@ -15,17 +15,21 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/query_api.h"
 #include "api/wire.h"
+#include "db/database.h"
 #include "server/admission.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/fault.h"
+#include "util/rng.h"
 
 namespace qc {
 namespace {
@@ -1247,6 +1251,530 @@ TEST_F(WalServerTest, RetriedRequestIdOccupiesOneDedupSlot) {
   ASSERT_EQ(evicted[0].kind, "end");
   EXPECT_EQ(evicted[0].FindUint("deduped", 0), 0u);
   EXPECT_EQ(evicted[0].FindUint("applied", 0), 1u);
+}
+
+// --- Streamed replies: frame sink, write buffer, byte identity ----------
+//
+// Suite names start with ServerSocket so the tsan preset's filter runs the
+// concurrent streaming cases too.
+
+/// Relations for the streaming cases: R/S give a ~100k-row acyclic answer,
+/// R1/R2/R3 the E17 triangle (3 x 1500 uniform rows over 48 values, where
+/// the hybrid planner declines), H a hub graph whose dense core takes the
+/// Boolean-MM route, and Z a relation that joins with nothing.
+std::string StreamingDataset() {
+  util::Rng rng(4242);
+  std::string text = "relation R:\n";
+  for (int i = 0; i < 10000; ++i) {
+    text += std::to_string(i) + " " + std::to_string(rng.NextBounded(1000)) +
+            "\n";
+  }
+  text += "relation S:\n";
+  for (int i = 0; i < 10000; ++i) {
+    text += std::to_string(rng.NextBounded(1000)) + " " + std::to_string(i) +
+            "\n";
+  }
+  for (const char* name : {"R1", "R2", "R3"}) {
+    text += std::string("relation ") + name + ":\n";
+    for (int i = 0; i < 1500; ++i) {
+      text += std::to_string(rng.NextBounded(48)) + " " +
+              std::to_string(rng.NextBounded(48)) + "\n";
+    }
+  }
+  // 17 hubs adjacent to every one of 30 vertices, plus a sparse periphery.
+  text += "relation H:\n";
+  auto edge = [&text](int u, int v) {
+    if (u == v) return;
+    text += std::to_string(u) + " " + std::to_string(v) + "\n";
+    text += std::to_string(v) + " " + std::to_string(u) + "\n";
+  };
+  for (int hub = 0; hub < 17; ++hub) {
+    for (int v = hub + 1; v < 30; ++v) edge(hub, v);
+  }
+  for (int i = 0; i < 10; ++i) {
+    edge(17 + static_cast<int>(rng.NextBounded(13)),
+         17 + static_cast<int>(rng.NextBounded(13)));
+  }
+  text += "relation Z:\n1000000 1000001\n";
+  return text;
+}
+
+void LoadStreamingDataset(server::QueryServer& server) {
+  api::Frame mutate;
+  mutate.kind = "mutate";
+  mutate.Add("id", "1");
+  mutate.body = StreamingDataset();
+  std::vector<api::Frame> replies = server.HandleRequest(mutate);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_EQ(replies[0].kind, "end") << replies[0].body;
+}
+
+api::Frame QueryFrame(std::uint64_t id, const std::string& text,
+                      std::vector<std::pair<std::string, std::string>>
+                          options = {}) {
+  api::Frame f;
+  f.kind = "query";
+  f.Add("id", std::to_string(id));
+  for (auto& [key, value] : options) f.Add(key, value);
+  f.body = text;
+  return f;
+}
+
+/// Writes `requests` into QueryServer::ServeStream over a socketpair and
+/// returns every byte the server wrote back, in order.
+std::string ServeOverSocketpair(server::QueryServer& server,
+                                const std::vector<api::Frame>& requests) {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return "";
+  }
+  std::thread serving([&server, fd = sv[0]] {
+    server.ServeStream(fd);
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::string wire;
+  for (const api::Frame& r : requests) wire += api::EncodeFrame(r);
+  std::size_t sent = 0;
+  while (sent < wire.size()) {
+    const ssize_t n = ::send(sv[1], wire.data() + sent, wire.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(sent, wire.size());
+  ::shutdown(sv[1], SHUT_WR);
+  std::string out;
+  char buf[1 << 16];
+  for (ssize_t n; (n = ::recv(sv[1], buf, sizeof(buf), 0)) > 0;) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  serving.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  return out;
+}
+
+std::vector<api::Frame> ParseFrames(const std::string& wire) {
+  api::FrameParser parser;
+  parser.Feed(wire);
+  std::vector<api::Frame> frames;
+  api::Frame frame;
+  std::string error;
+  while (parser.Next(&frame, &error) == api::FrameParser::Result::kFrame) {
+    frames.push_back(frame);
+  }
+  EXPECT_TRUE(error.empty()) << error;
+  return frames;
+}
+
+/// What one row-returning reply must carry; the oracle turns it into bytes.
+struct ExpectedReply {
+  std::uint64_t id = 0;
+  std::string status;
+  std::string method;
+  bool truncated = false;
+  std::uint64_t epoch = 0;
+  std::vector<std::string> attributes;
+  std::vector<db::Tuple> rows;
+  std::string analysis;
+  std::string report;  ///< Timing-dependent; taken from the observed frame.
+  int code = 0;
+};
+
+/// The row-wise reply encoding the server used before replies were encoded
+/// from columns, kept as the byte oracle: hdr, one batch per 256 rows with
+/// every value through std::to_string, report, end, each via EncodeFrame.
+std::string RowWiseReply(const ExpectedReply& e) {
+  const std::string id = std::to_string(e.id);
+  std::string attrs;
+  for (const std::string& a : e.attributes) {
+    if (!attrs.empty()) attrs += ' ';
+    attrs += a;
+  }
+  api::Frame hdr;
+  hdr.kind = "hdr";
+  hdr.Add("id", id).Add("status", e.status).Add("method", e.method);
+  hdr.Add("rows", std::to_string(e.rows.size()));
+  hdr.Add("truncated", e.truncated ? "1" : "0");
+  hdr.Add("epoch", std::to_string(e.epoch)).Add("attributes", attrs);
+  hdr.body = e.analysis;
+  std::string out = api::EncodeFrame(hdr);
+  for (std::size_t begin = 0; begin < e.rows.size(); begin += 256) {
+    const std::size_t end = std::min(begin + 256, e.rows.size());
+    api::Frame batch;
+    batch.kind = "batch";
+    batch.Add("id", id).Add("rows", std::to_string(end - begin));
+    for (std::size_t i = begin; i < end; ++i) {
+      std::string line;
+      for (db::Value v : e.rows[i]) {
+        if (!line.empty()) line += ' ';
+        line += std::to_string(v);
+      }
+      batch.body += line + "\n";
+    }
+    out += api::EncodeFrame(batch);
+  }
+  api::Frame report;
+  report.kind = "report";
+  report.Add("id", id);
+  report.body = e.report;
+  out += api::EncodeFrame(report);
+  api::Frame end;
+  end.kind = "end";
+  end.Add("id", id).Add("code", std::to_string(e.code));
+  return out + api::EncodeFrame(end);
+}
+
+/// The rows a reply's batch frames carry, decoded from their text.
+std::vector<db::Tuple> DecodeBatchRows(const std::vector<api::Frame>& frames) {
+  std::vector<db::Tuple> rows;
+  for (const api::Frame& f : frames) {
+    if (f.kind != "batch") continue;
+    std::size_t pos = 0;
+    while (pos < f.body.size()) {
+      const std::size_t eol = f.body.find('\n', pos);
+      db::Tuple row;
+      std::size_t at = pos;
+      while (at < eol) {
+        std::size_t next = f.body.find(' ', at);
+        if (next == std::string::npos || next > eol) next = eol;
+        row.push_back(std::stoll(f.body.substr(at, next - at)));
+        at = next == eol ? eol : next + 1;
+      }
+      rows.push_back(row);
+      pos = eol + 1;
+    }
+  }
+  return rows;
+}
+
+/// Splits a reply sequence at each terminal frame (end or error).
+std::vector<std::vector<api::Frame>> SplitReplies(
+    const std::vector<api::Frame>& frames) {
+  std::vector<std::vector<api::Frame>> replies(1);
+  for (const api::Frame& f : frames) {
+    replies.back().push_back(f);
+    if (f.kind == "end" || f.kind == "error") replies.emplace_back();
+  }
+  replies.pop_back();
+  return replies;
+}
+
+TEST(ServerSocketStreamTest, RepliesAreByteIdenticalToRowWiseEncoding) {
+  server::ServerOptions options;
+  options.session.index_cache_mb = 4;
+  server::QueryServer server(options);
+  LoadStreamingDataset(server);
+  {
+    api::Frame reg;
+    reg.kind = "view_register";
+    reg.Add("id", "2").Add("name", "chain").Add("kind", "join");
+    reg.body = "R1(a,b), R2(b,c)";
+    ASSERT_EQ(server.HandleRequest(reg)[0].kind, "end");
+    reg.fields.clear();
+    reg.Add("id", "3").Add("name", "hubs").Add("kind", "triangle_count");
+    reg.body = "H";
+    ASSERT_EQ(server.HandleRequest(reg)[0].kind, "end");
+  }
+
+  // One request per reply shape. `method` pins the route each one must
+  // take, so the cases keep covering what they are named for.
+  struct Case {
+    api::Frame request;
+    std::string method;
+    bool deterministic = true;
+  };
+  std::vector<Case> cases = {
+      {QueryFrame(10, "R(a,b), S(b,c)"), "yannakakis"},
+      {QueryFrame(11, "R1(a,b), R2(a,c), R3(b,c)", {{"want_analysis", "1"}}),
+       "generic-join"},
+      {QueryFrame(12, "H(a,b), H(a,c), H(b,c)"), "hybrid-join"},
+      // Serial, so the 1000 surviving rows are the same on every run.
+      {QueryFrame(13, "R(a,b), S(b,c)",
+                  {{"max_rows", "1000"}, {"threads", "1"}}),
+       "yannakakis"},
+      {QueryFrame(14, "R1(a,b), R2(b,c), R3(c,d), R1(d,e), R2(e,f)",
+                  {{"deadline_ms", "1"}}),
+       "", /*deterministic=*/false},
+      {QueryFrame(15, "R(a,b), Z(b,c)"), "yannakakis"},
+      {QueryFrame(16, "H(a,a)"), "yannakakis"},
+      {QueryFrame(17, "R()"), ""},  // Attribute-free atoms: input error.
+  };
+  for (const char* view : {"chain", "hubs"}) {
+    api::Frame read;
+    read.kind = "view_read";
+    read.Add("id", std::to_string(20 + cases.size())).Add("name", view);
+    cases.push_back({read, "ivm"});
+  }
+  std::vector<api::Frame> requests;
+  for (const Case& c : cases) requests.push_back(c.request);
+
+  const std::string wire = ServeOverSocketpair(server, requests);
+  const std::vector<std::vector<api::Frame>> replies =
+      SplitReplies(ParseFrames(wire));
+  ASSERT_EQ(replies.size(), cases.size());
+
+  const db::MvccSnapshot snapshot = server.database().Snapshot();
+  std::string oracle;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].request.body + " " + cases[i].request.kind);
+    const api::Frame& request = cases[i].request;
+    const std::vector<api::Frame>& got = replies[i];
+    if (got.front().kind == "error") {
+      EXPECT_EQ(request.body, "R()");
+      ASSERT_EQ(got.size(), 1u);
+      oracle += api::EncodeFrame(got.front());
+      continue;
+    }
+    ASSERT_GE(got.size(), 3u);
+    ASSERT_EQ(got.front().kind, "hdr");
+    ASSERT_EQ(got[got.size() - 2].kind, "report");
+    ExpectedReply e;
+    e.id = request.FindUint("id", 0);
+    e.report = got[got.size() - 2].body;
+    if (!cases[i].deterministic) {
+      // A deadline trip keeps whatever rows were done: the oracle encodes
+      // the decoded rows, so the check is the encoding, not the cut point.
+      EXPECT_EQ(*got.front().Find("status"), "deadline-exceeded");
+      e.status = "deadline-exceeded";
+      e.method = *got.front().Find("method");
+      e.truncated = true;
+      e.epoch = snapshot.epoch;
+      e.attributes = {"a", "b", "c", "d", "e", "f"};
+      e.rows = DecodeBatchRows(got);
+      e.code = 4;
+    } else if (request.kind == "view_read") {
+      e.status = "completed";
+      e.method = "ivm";
+      e.epoch = snapshot.epoch;
+      if (*request.Find("name") == "chain") {
+        api::QueryRequest qreq;
+        qreq.query_text = "R1(a,b), R2(b,c)";
+        db::JoinResult rows =
+            api::ExecuteQuery(qreq, *snapshot.db, nullptr).result.ToRows();
+        rows.Normalize();
+        e.attributes = rows.attributes;
+        e.rows = rows.tuples;
+      } else {
+        e.attributes = {"count"};
+        api::QueryRequest qreq;
+        qreq.query_text = "H(a,b), H(b,c), H(a,c)";
+        e.rows = {{static_cast<db::Value>(
+            api::ExecuteQuery(qreq, *snapshot.db, nullptr).result.rows.size())}};
+      }
+    } else {
+      api::QueryRequest qreq;
+      qreq.query_text = request.body;
+      qreq.options = options.session;
+      for (const auto& [key, value] : request.fields) {
+        if (key == "id") continue;
+        if (key == "want_analysis") {
+          qreq.want_analysis = true;
+          continue;
+        }
+        std::string err;
+        ASSERT_TRUE(api::SetSessionOption(&qreq.options, key, value, &err))
+            << err;
+      }
+      api::QueryResponse resp = api::ExecuteQuery(qreq, *snapshot.db, nullptr);
+      const db::JoinResult rows = resp.result.ToRows();
+      e.status = std::string(util::ToString(resp.status));
+      e.method = resp.method;
+      e.truncated = rows.truncated;
+      e.epoch = snapshot.epoch;
+      e.attributes = rows.attributes;
+      e.rows = rows.tuples;
+      e.analysis = resp.analysis_text;
+      e.code = resp.ExitCode();
+    }
+    if (!cases[i].method.empty()) {
+      EXPECT_EQ(*got.front().Find("method"), cases[i].method);
+    }
+    oracle += RowWiseReply(e);
+
+    // The collecting adapter yields the same frames (report bodies carry
+    // timings, and a deadline trip cuts at a different row each run).
+    if (cases[i].deterministic) {
+      std::vector<api::Frame> collected = server.HandleRequest(request);
+      ASSERT_EQ(collected.size(), got.size());
+      for (std::size_t f = 0; f < got.size(); ++f) {
+        EXPECT_EQ(collected[f].kind, got[f].kind);
+        EXPECT_EQ(collected[f].fields, got[f].fields);
+        if (got[f].kind != "report") {
+          EXPECT_EQ(collected[f].body, got[f].body);
+        }
+      }
+    }
+  }
+  EXPECT_GT(replies[0].front().FindUint("rows", 0), 90000u);
+  EXPECT_EQ(replies[3].front().FindUint("rows", 0), 1000u);
+  EXPECT_EQ(replies[5].front().FindUint("rows", 1), 0u);
+  ASSERT_EQ(wire.size(), oracle.size());
+  const std::size_t first_diff =
+      std::mismatch(wire.begin(), wire.end(), oracle.begin()).first -
+      wire.begin();
+  EXPECT_EQ(first_diff, wire.size()) << "reply bytes differ from the "
+                                        "row-wise encoding at this offset";
+}
+
+TEST(ServerSocketStreamTest, ClientRejectsRowCountMismatch) {
+  // A hand-built peer: replies whose batches carry fewer rows than hdr
+  // announced (a cut or miscounted stream) must fail the round trip, not
+  // decode as a shorter answer.
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  auto reply = [](std::uint64_t hdr_rows, std::uint64_t batch_rows) {
+    api::Frame hdr;
+    hdr.kind = "hdr";
+    hdr.Add("id", "1").Add("status", "completed").Add("method", "fake");
+    hdr.Add("rows", std::to_string(hdr_rows)).Add("truncated", "0");
+    hdr.Add("epoch", "0").Add("attributes", "a b");
+    api::Frame batch;
+    batch.kind = "batch";
+    batch.Add("id", "1").Add("rows", std::to_string(batch_rows));
+    for (std::uint64_t i = 0; i < batch_rows; ++i) batch.body += "1 2\n";
+    api::Frame end;
+    end.kind = "end";
+    end.Add("id", "1").Add("code", "0");
+    return api::EncodeFrame(hdr) + api::EncodeFrame(batch) +
+           api::EncodeFrame(end);
+  };
+  const std::vector<std::string> canned = {reply(5, 2), reply(2, 2),
+                                           reply(1, 3)};
+  std::thread peer([&] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    api::FrameParser parser;
+    char buf[4096];
+    for (const std::string& bytes : canned) {
+      api::Frame request;
+      std::string error;
+      while (parser.Next(&request, &error) !=
+             api::FrameParser::Result::kFrame) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) {
+          ::close(fd);
+          return;
+        }
+        parser.Feed(buf, static_cast<std::size_t>(n));
+      }
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    }
+    ::close(fd);
+  });
+
+  server::Client client;
+  std::string error;
+  const bool connected =
+      client.Connect("127.0.0.1", ntohs(addr.sin_port), &error);
+  EXPECT_TRUE(connected) << error;
+  if (connected) {
+    server::QueryReply short_reply = client.Query("R(a,b)");
+    EXPECT_FALSE(short_reply.ok);
+    EXPECT_NE(short_reply.error.find("protocol"), std::string::npos)
+        << short_reply.error;
+    server::QueryReply whole = client.Query("R(a,b)");
+    EXPECT_TRUE(whole.ok) << whole.error;
+    EXPECT_EQ(whole.rows, 2u);
+    server::QueryReply long_reply = client.Query("R(a,b)");
+    EXPECT_FALSE(long_reply.ok);
+  }
+  client.Close();
+  ::shutdown(listener, SHUT_RDWR);  // Unblocks accept if never connected.
+  peer.join();
+  ::close(listener);
+}
+
+TEST(ServerSocketStreamTest, WriteFailureMidReplyClosesOnlyThatConnection) {
+  server::ServerOptions options;
+  options.session.index_cache_mb = 4;
+  server::QueryServer server(options);
+  LoadStreamingDataset(server);
+  const api::Frame query = QueryFrame(7, "R(a,b), S(b,c)");
+
+  // The producer stops at the first frame the sink refuses.
+  int offered = 0;
+  server.HandleRequest(query, [&offered](const api::Frame&) {
+    return ++offered < 3;
+  });
+  EXPECT_EQ(offered, 3);
+
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  server::Client doomed;
+  ASSERT_TRUE(doomed.Connect("127.0.0.1", server.port(), &error)) << error;
+  util::FaultRegistry& faults = util::FaultRegistry::Global();
+  faults.ResetStats();
+  // The ~1.5 MB reply leaves in 16 KiB writes; the third one fails, inside
+  // the run of batch frames.
+  ASSERT_TRUE(faults.Configure("socket.write:once=3", 1, &error)) << error;
+  server::QueryReply cut = doomed.Query(query.body);
+  EXPECT_FALSE(cut.ok);
+  std::uint64_t evals = 0;
+  for (const auto& p : faults.stats()) {
+    if (p.point == "socket.write") evals = p.evals;
+  }
+  // No write is attempted after the failed one: the reply stopped there.
+  EXPECT_EQ(evals, 3u);
+  faults.Clear();
+  faults.ResetStats();
+
+  server::Client fresh;
+  ASSERT_TRUE(fresh.Connect("127.0.0.1", server.port(), &error)) << error;
+  server::QueryReply whole = fresh.Query(query.body);
+  ASSERT_TRUE(whole.ok) << whole.error;
+  EXPECT_EQ(whole.code, 0);
+  EXPECT_GT(whole.rows, 90000u);
+  EXPECT_EQ(static_cast<std::uint64_t>(std::count(
+                whole.row_text.begin(), whole.row_text.end(), '\n')),
+            whole.rows);
+  server.Stop();
+}
+
+TEST(ServerSocketStreamTest, ConcurrentStreamedRepliesAreComplete) {
+  server::ServerOptions options;
+  options.session.index_cache_mb = 4;
+  options.admission.max_concurrent = 2;
+  server::QueryServer server(options);
+  LoadStreamingDataset(server);
+  // Text of the expected answer, from the collecting adapter.
+  const std::string query = "R1(a,b), R2(b,c)";
+  const std::vector<api::Frame> reference =
+      server.HandleRequest(QueryFrame(1, query));
+  const std::uint64_t rows = reference.front().FindUint("rows", 0);
+  const std::string expected = BatchText(reference);
+  ASSERT_GT(rows, 10000u);
+
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  constexpr int kClients = 4;
+  std::vector<int> complete(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      server::Client client;
+      std::string err;
+      if (!client.Connect("127.0.0.1", server.port(), &err)) return;
+      for (int i = 0; i < 3; ++i) {
+        server::QueryReply r = client.Query(query);
+        if (r.ok && r.rows == rows && r.row_text == expected) ++complete[c];
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) EXPECT_EQ(complete[c], 3) << c;
+  server.Stop();
 }
 
 }  // namespace
