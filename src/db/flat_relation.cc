@@ -25,11 +25,6 @@ std::vector<Tuple> FlatRelation::ToRows() const {
   return rows;
 }
 
-void FlatRelation::PushRow(const Value* row) {
-  data_.insert(data_.end(), row, row + arity_);
-  ++size_;
-}
-
 void FlatRelation::PushRow(const Tuple& row) {
   if (static_cast<int>(row.size()) != arity_) std::abort();
   data_.insert(data_.end(), row.begin(), row.end());

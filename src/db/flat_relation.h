@@ -72,7 +72,10 @@ class FlatRelation {
   Value At(std::size_t row, int col) const { return Row(row)[col]; }
 
   /// Appends one row (copies `arity` values from `row`).
-  void PushRow(const Value* row);
+  void PushRow(const Value* row) {
+    data_.insert(data_.end(), row, row + arity_);
+    ++size_;
+  }
   void PushRow(const Tuple& row);
   /// Appends every row of `other`, which must have the same arity.
   void Append(const FlatRelation& other);

@@ -231,6 +231,26 @@ void GenericJoin::PairIntersect(DepthScratch& scratch, GenericJoinStats* stats,
 }
 
 template <class Emit>
+void GenericJoin::MergeIntersect(DepthScratch& scratch, Emit&& emit) const {
+  auto& cur = scratch.cursors;
+  const Value* A = scratch.values[0];
+  const Value* B = scratch.values[1];
+  const std::int32_t ea = scratch.ends[0], eb = scratch.ends[1];
+  std::int32_t i = cur[0], j = cur[1];
+  while (i < ea && j < eb) {
+    const Value a = A[i], b = B[j];
+    if (a == b) {
+      cur[0] = i;
+      cur[1] = j;
+      if (!emit(a, cur.data())) return;
+    }
+    // Both advance on a match, only the smaller side otherwise.
+    i += a <= b;
+    j += b <= a;
+  }
+}
+
+template <class Emit>
 void GenericJoin::LeapfrogIntersect(int depth, const std::vector<Span>& spans,
                                     DepthScratch& scratch,
                                     GenericJoinStats* stats,
@@ -255,20 +275,29 @@ void GenericJoin::LeapfrogIntersect(int depth, const std::vector<Span>& spans,
     }
     return;
   }
-  if (h == 2 && kernels::ActiveSimdLevel() != kernels::SimdLevel::kScalar) {
+  if (h == 2) {
     // Two holders cover most real per-level intersections (binary-relation
-    // queries); hand non-skewed, non-trivial pairs to the blocked SIMD
-    // kernel. Skewed pairs stay on the leapfrog, whose galloping already is
-    // the right algorithm there. QC_SIMD=scalar never enters this branch —
-    // it runs the historical engine path unchanged.
+    // queries). Non-skewed pairs are merged: above the SIMD kernel's
+    // 16-element floor by the blocked kernel, below it — at every QC_SIMD
+    // level, scalar included — by a branch-light scalar merge, which is
+    // what pays on the many short per-node spans of a sparse join. The
+    // root intersection (depth 0, run once per query) keeps the leapfrog
+    // below the floor. Skewed pairs stay on the leapfrog, whose galloping
+    // is the right algorithm there.
     const std::int64_t na = ends[0] - cur[0], nb = ends[1] - cur[1];
     const std::int64_t shorter = std::min(na, nb);
     const std::int64_t longer = std::max(na, nb);
-    if (shorter >= 16 &&
-        longer <= shorter * static_cast<std::int64_t>(
+    if (longer <= shorter * static_cast<std::int64_t>(
                                 kernels::kGallopSkewRatio)) {
-      PairIntersect(scratch, stats, static_cast<Emit&&>(emit));
-      return;
+      if (shorter >= kSimdFloor) {
+        if (kernels::ActiveSimdLevel() != kernels::SimdLevel::kScalar) {
+          PairIntersect(scratch, stats, static_cast<Emit&&>(emit));
+          return;
+        }
+      } else if (depth > 0) {
+        MergeIntersect(scratch, static_cast<Emit&&>(emit));
+        return;
+      }
     }
   }
   Value max_v = vals[0][cur[0]];
@@ -296,14 +325,11 @@ void GenericJoin::LeapfrogIntersect(int depth, const std::vector<Span>& spans,
   }
 }
 
+template <class Sink>
 void GenericJoin::Search(int depth, std::vector<Span>& spans,
                          std::vector<DepthScratch>& scratch, Tuple& binding,
-                         const std::function<bool(const Tuple&)>& visitor,
-                         bool* stop, GenericJoinStats* stats) const {
-  if (depth == static_cast<int>(attribute_order_.size())) {
-    if (!visitor(binding)) *stop = true;
-    return;
-  }
+                         Sink& sink, bool* stop,
+                         GenericJoinStats* stats) const {
   // Span per parent node at this level (inclusive of the whole descent
   // below); ~1 relaxed load when tracing is off, same placement cost as the
   // budget poll.
@@ -311,6 +337,25 @@ void GenericJoin::Search(int depth, std::vector<Span>& spans,
   const auto& holders = atoms_of_attr_[depth];
   const int h = static_cast<int>(holders.size());
   DepthScratch& ds = scratch[depth];
+  if (depth + 1 == static_cast<int>(attribute_order_.size())) {
+    // Last level: every matched value completes a binding, which goes to
+    // the sink as is — no child spans, no further frame.
+    LeapfrogIntersect(depth, spans, ds, stats,
+                      [&](Value v, const std::int32_t*) {
+                        if (budget_->Poll()) {
+                          *stop = true;
+                          return false;
+                        }
+                        ++stats->nodes;
+                        binding[depth] = v;
+                        if (!sink(binding)) {
+                          *stop = true;
+                          return false;
+                        }
+                        return true;
+                      });
+    return;
+  }
   LeapfrogIntersect(depth, spans, ds, stats,
                     [&](Value v, const std::int32_t* pos) {
                       // Safe point: one budget poll per search node (~1
@@ -326,7 +371,7 @@ void GenericJoin::Search(int depth, std::vector<Span>& spans,
                         ds.saved[i] = spans[a];
                         spans[a] = DescendSpan(a, col, pos[i]);
                       }
-                      Search(depth + 1, spans, scratch, binding, visitor, stop,
+                      Search(depth + 1, spans, scratch, binding, sink, stop,
                              stats);
                       for (int i = 0; i < h; ++i) {
                         spans[holders[i].first] = ds.saved[i];
@@ -358,11 +403,12 @@ bool GenericJoin::ComputeRootCandidates(RootCandidates* candidates,
   return true;
 }
 
-void GenericJoin::SearchCandidate(
-    const RootCandidates& candidates, std::size_t i, std::vector<Span>& spans,
-    std::vector<DepthScratch>& scratch, Tuple& binding,
-    const std::function<bool(const Tuple&)>& visitor, bool* stop,
-    GenericJoinStats* stats) const {
+template <class Sink>
+void GenericJoin::SearchCandidate(const RootCandidates& candidates,
+                                  std::size_t i, std::vector<Span>& spans,
+                                  std::vector<DepthScratch>& scratch,
+                                  Tuple& binding, Sink& sink, bool* stop,
+                                  GenericJoinStats* stats) const {
   const auto& holders = atoms_of_attr_[0];
   const std::size_t h = holders.size();
   const std::int32_t* pos = candidates.positions.data() + i * h;
@@ -376,162 +422,148 @@ void GenericJoin::SearchCandidate(
   }
   ++stats->nodes;
   binding[0] = candidates.values[i];
+  if (attribute_order_.size() == 1) {
+    // One attribute: the root level is the leaf.
+    if (!sink(binding)) *stop = true;
+    return;
+  }
   for (std::size_t j = 0; j < h; ++j) {
     auto [a, col] = holders[j];
     ds.saved[j] = spans[a];
     spans[a] = DescendSpan(a, col, pos[j]);
   }
-  Search(1, spans, scratch, binding, visitor, stop, stats);
+  Search(1, spans, scratch, binding, sink, stop, stats);
   for (std::size_t j = 0; j < h; ++j) {
     spans[holders[j].first] = ds.saved[j];
   }
 }
 
-void GenericJoin::Enumerate(const std::function<bool(const Tuple&)>& visitor) {
+template <class Sink>
+void GenericJoin::SearchRange(const RootCandidates& candidates,
+                              std::size_t begin, std::size_t end, Sink& sink,
+                              GenericJoinStats* stats) const {
+  std::vector<Span> spans = FullSpans();
+  std::vector<DepthScratch> scratch = MakeScratch();
+  Tuple binding(attribute_order_.size());
+  bool stop = false;
+  for (std::size_t i = begin; i < end && !stop; ++i) {
+    SearchCandidate(candidates, i, spans, scratch, binding, sink, &stop,
+                    stats);
+  }
+}
+
+template <class Prepare, class SinkFor>
+void GenericJoin::RunSearch(int threads, Prepare&& prepare, SinkFor&& sink_for,
+                            const std::atomic<bool>* done) {
   GenericJoinStats run;
+  RootCandidates candidates;
   if (attribute_order_.empty()) {
     // No attributes to bind: one empty answer unless some atom is empty.
+    prepare(std::int64_t{1});
     if (!HasEmptyAtom()) {
       Tuple binding;
-      visitor(binding);
+      auto sink = sink_for(std::int64_t{0});
+      sink(binding);
     }
+  } else if (!ComputeRootCandidates(&candidates, &run)) {
+    prepare(std::int64_t{0});
+  } else if (threads <= 1) {
+    prepare(std::int64_t{1});
+    auto sink = sink_for(std::int64_t{0});
+    SearchRange(candidates, 0, candidates.values.size(), sink, &run);
   } else {
-    RootCandidates candidates;
-    if (ComputeRootCandidates(&candidates, &run)) {
-      std::vector<Span> spans = FullSpans();
-      std::vector<DepthScratch> scratch = MakeScratch();
-      Tuple binding(attribute_order_.size());
-      bool stop = false;
-      for (std::size_t i = 0; i < candidates.values.size() && !stop; ++i) {
-        SearchCandidate(candidates, i, spans, scratch, binding, visitor, &stop,
-                        &run);
-      }
-    }
+    // Contiguous chunks of candidates with per-chunk sinks and stats (not
+    // per-candidate: one chunk, not one root value, is the unit of work);
+    // callers merge the chunks in order, so results are bit-identical to
+    // the serial enumeration order at any thread count.
+    const std::int64_t n = static_cast<std::int64_t>(candidates.values.size());
+    const std::int64_t chunks =
+        std::min<std::int64_t>(n, static_cast<std::int64_t>(threads) * 8);
+    prepare(chunks);
+    std::vector<GenericJoinStats> chunk_stats(chunks);
+    util::ThreadPool::Shared().ParallelFor(
+        0, chunks,
+        [&](std::int64_t clo, std::int64_t chi) {
+          for (std::int64_t c = clo; c < chi; ++c) {
+            if (done != nullptr && done->load(std::memory_order_relaxed)) {
+              return;
+            }
+            auto sink = sink_for(c);
+            SearchRange(candidates, static_cast<std::size_t>(c * n / chunks),
+                        static_cast<std::size_t>((c + 1) * n / chunks), sink,
+                        &chunk_stats[c]);
+          }
+        },
+        threads, /*min_grain=*/1, budget_.get());
+    for (const GenericJoinStats& cs : chunk_stats) run += cs;
   }
   stats_ += run;
   ExportStats(run);
   run_status_ = budget_->status();
+}
+
+void GenericJoin::Enumerate(const std::function<bool(const Tuple&)>& visitor) {
+  // Serial always: the visitor contract (in-order delivery, early stop) is
+  // order-sensitive.
+  RunSearch(
+      1, [](std::int64_t) {},
+      [&visitor](std::int64_t) {
+        return [&visitor](const Tuple& t) { return visitor(t); };
+      });
 }
 
 FlatJoinResult GenericJoin::EvaluateFlat() {
   FlatJoinResult out;
   out.attributes = attribute_order_;
   const int arity = static_cast<int>(attribute_order_.size());
-  out.rows = FlatRelation(arity);
-  if (ResolvedThreads() <= 1 || attribute_order_.empty()) {
-    // Charge after appending: at a row limit R, exactly R rows materialize.
-    Enumerate([this, &out](const Tuple& t) {
-      out.rows.PushRow(t.data());
-      return !budget_->ChargeRows(1);
-    });
-    run_status_ = budget_->status();
-    out.truncated = run_status_ != util::RunStatus::kCompleted;
-    return out;
-  }
-
-  GenericJoinStats run;
-  RootCandidates candidates;
-  if (ComputeRootCandidates(&candidates, &run)) {
-    // Contiguous chunks of candidates with per-chunk flat buffers and stats
-    // (not per-candidate: one buffer per chunk, not per root value),
-    // appended in chunk order below — the result is bit-identical to the
-    // serial enumeration order at any thread count.
-    const std::int64_t n = static_cast<std::int64_t>(candidates.values.size());
-    const int threads = ResolvedThreads();
-    const std::int64_t chunks =
-        std::min<std::int64_t>(n, static_cast<std::int64_t>(threads) * 8);
-    std::vector<FlatRelation> buffers(chunks, FlatRelation(arity));
-    std::vector<GenericJoinStats> chunk_stats(chunks);
-    util::ThreadPool::Shared().ParallelFor(
-        0, chunks,
-        [&](std::int64_t clo, std::int64_t chi) {
-          for (std::int64_t c = clo; c < chi; ++c) {
-            std::vector<Span> spans = FullSpans();
-            std::vector<DepthScratch> scratch = MakeScratch();
-            Tuple binding(attribute_order_.size());
-            bool stop = false;
-            auto sink = [this, &buffers, &stop, c](const Tuple& t) {
-              buffers[c].PushRow(t.data());
-              if (budget_->ChargeRows(1)) {
-                stop = true;
-                return false;
-              }
-              return true;
-            };
-            for (std::int64_t i = c * n / chunks;
-                 i < (c + 1) * n / chunks && !stop; ++i) {
-              SearchCandidate(candidates, static_cast<std::size_t>(i), spans,
-                              scratch, binding, sink, &stop, &chunk_stats[c]);
-            }
-          }
-        },
-        threads, /*min_grain=*/1, budget_.get());
+  // One flat buffer per chunk (exactly one when serial), appended in chunk
+  // order. Charge after appending: at a row limit R, exactly R rows
+  // materialize serially.
+  std::vector<FlatRelation> buffers;
+  RunSearch(
+      ResolvedThreads(),
+      [&](std::int64_t chunks) {
+        buffers.assign(static_cast<std::size_t>(chunks), FlatRelation(arity));
+      },
+      [this, &buffers](std::int64_t c) {
+        FlatRelation* rows = &buffers[static_cast<std::size_t>(c)];
+        return [this, rows](const Tuple& t) {
+          rows->PushRow(t.data());
+          return !budget_->ChargeRows(1);
+        };
+      });
+  if (buffers.size() == 1) {
+    out.rows = std::move(buffers.front());
+  } else {
     std::size_t total = 0;
     for (const FlatRelation& b : buffers) total += b.size();
+    out.rows = FlatRelation(arity);
     out.rows.Reserve(total);
-    for (std::int64_t c = 0; c < chunks; ++c) {
-      run += chunk_stats[c];
-      out.rows.Append(buffers[c]);
-      buffers[c] = FlatRelation();
+    for (FlatRelation& b : buffers) {
+      out.rows.Append(b);
+      b = FlatRelation();
     }
     // Concurrent chunks may each append a last row before observing the
     // global row limit; truncate so the merged answer honours it exactly.
     if (budget_->row_limit() > 0) out.rows.Truncate(budget_->row_limit());
   }
-  stats_ += run;
-  ExportStats(run);
-  run_status_ = budget_->status();
   out.truncated = run_status_ != util::RunStatus::kCompleted;
   return out;
 }
 
 bool GenericJoin::IsEmpty() {
-  if (ResolvedThreads() <= 1 || attribute_order_.empty()) {
-    bool found = false;
-    Enumerate([&found](const Tuple&) {
-      found = true;
-      return false;
-    });
-    return !found;
-  }
   // "Non-empty" is always a real witness; "empty" under a tripped budget
   // (status() != kCompleted) means Unknown.
-
-  GenericJoinStats run;
-  RootCandidates candidates;
   std::atomic<bool> found(false);
-  if (ComputeRootCandidates(&candidates, &run)) {
-    const std::int64_t n = static_cast<std::int64_t>(candidates.values.size());
-    const int threads = ResolvedThreads();
-    const std::int64_t chunks =
-        std::min<std::int64_t>(n, static_cast<std::int64_t>(threads) * 8);
-    std::vector<GenericJoinStats> chunk_stats(chunks);
-    util::ThreadPool::Shared().ParallelFor(
-        0, chunks,
-        [&](std::int64_t clo, std::int64_t chi) {
-          for (std::int64_t c = clo; c < chi; ++c) {
-            if (found.load(std::memory_order_relaxed)) return;
-            std::vector<Span> spans = FullSpans();
-            std::vector<DepthScratch> scratch = MakeScratch();
-            Tuple binding(attribute_order_.size());
-            bool stop = false;
-            auto sink = [&found](const Tuple&) {
-              found.store(true, std::memory_order_relaxed);
-              return false;  // Stop this partition's search.
-            };
-            for (std::int64_t i = c * n / chunks;
-                 i < (c + 1) * n / chunks && !stop; ++i) {
-              SearchCandidate(candidates, static_cast<std::size_t>(i), spans,
-                              scratch, binding, sink, &stop, &chunk_stats[c]);
-            }
-          }
-        },
-        threads, /*min_grain=*/1, budget_.get());
-    for (const auto& cs : chunk_stats) run += cs;
-  }
-  stats_ += run;
-  ExportStats(run);
-  run_status_ = budget_->status();
+  RunSearch(
+      ResolvedThreads(), [](std::int64_t) {},
+      [&found](std::int64_t) {
+        return [&found](const Tuple&) {
+          found.store(true, std::memory_order_relaxed);
+          return false;  // Stop this chunk's search.
+        };
+      },
+      &found);
   return !found.load();
 }
 
@@ -539,58 +571,22 @@ std::uint64_t GenericJoin::Count() {
   // Counted rows are charged like materialized ones, so --max-rows bounds
   // counting effort too; on a trip the count-so-far is returned (a lower
   // bound on the true count) with status() recording the cause.
-  if (ResolvedThreads() <= 1 || attribute_order_.empty()) {
-    std::uint64_t count = 0;
-    Enumerate([this, &count](const Tuple&) {
-      ++count;
-      return !budget_->ChargeRows(1);
-    });
-    return count;
-  }
-
-  GenericJoinStats run;
-  RootCandidates candidates;
-  std::uint64_t count = 0;
-  if (ComputeRootCandidates(&candidates, &run)) {
-    const std::int64_t n = static_cast<std::int64_t>(candidates.values.size());
-    const int threads = ResolvedThreads();
-    const std::int64_t chunks =
-        std::min<std::int64_t>(n, static_cast<std::int64_t>(threads) * 8);
-    std::vector<std::uint64_t> counts(chunks, 0);
-    std::vector<GenericJoinStats> chunk_stats(chunks);
-    util::ThreadPool::Shared().ParallelFor(
-        0, chunks,
-        [&](std::int64_t clo, std::int64_t chi) {
-          for (std::int64_t c = clo; c < chi; ++c) {
-            std::vector<Span> spans = FullSpans();
-            std::vector<DepthScratch> scratch = MakeScratch();
-            Tuple binding(attribute_order_.size());
-            bool stop = false;
-            auto sink = [this, &counts, &stop, c](const Tuple&) {
-              ++counts[c];
-              if (budget_->ChargeRows(1)) {
-                stop = true;
-                return false;
-              }
-              return true;
-            };
-            for (std::int64_t i = c * n / chunks;
-                 i < (c + 1) * n / chunks && !stop; ++i) {
-              SearchCandidate(candidates, static_cast<std::size_t>(i), spans,
-                              scratch, binding, sink, &stop, &chunk_stats[c]);
-            }
-          }
-        },
-        threads, /*min_grain=*/1, budget_.get());
-    for (std::int64_t c = 0; c < chunks; ++c) {
-      run += chunk_stats[c];
-      count += counts[c];
-    }
-  }
-  stats_ += run;
-  ExportStats(run);
-  run_status_ = budget_->status();
-  return count;
+  std::vector<std::uint64_t> counts;
+  RunSearch(
+      ResolvedThreads(),
+      [&counts](std::int64_t chunks) {
+        counts.assign(static_cast<std::size_t>(chunks), 0);
+      },
+      [this, &counts](std::int64_t c) {
+        std::uint64_t* count = &counts[static_cast<std::size_t>(c)];
+        return [this, count](const Tuple&) {
+          ++*count;
+          return !budget_->ChargeRows(1);
+        };
+      });
+  std::uint64_t total = 0;
+  for (std::uint64_t c : counts) total += c;
+  return total;
 }
 
 }  // namespace qc::db

@@ -1,6 +1,7 @@
 #ifndef QC_DB_GENERIC_JOIN_H_
 #define QC_DB_GENERIC_JOIN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,7 +27,7 @@ struct GenericJoinStats {
   std::uint64_t gallops = 0;  ///< Doubling steps of the galloping seeks.
   /// Blocked kernel calls of the two-holder SIMD intersection path
   /// (kernels::IntersectPairPositions); zero under QC_SIMD=scalar, where
-  /// the historical leapfrog runs instead.
+  /// long pairs leapfrog instead (short pairs merge at every level).
   std::uint64_t simd_blocks = 0;
 
   GenericJoinStats& operator+=(const GenericJoinStats& other) {
@@ -59,9 +60,12 @@ struct AtomRows {
 /// search descends the tries: binding attribute d moves every holder atom
 /// from its matched node to that node's child span — a pointer bump — and
 /// the per-level intersection leapfrogs the holder spans with galloping
-/// (doubling probe + bounded std::lower_bound). No tuple rows are ever
-/// re-scanned or re-binary-searched during the descent. Runs in
-/// O~(N^{rho*}) total time.
+/// (doubling probe + bounded std::lower_bound); two non-skewed holder spans
+/// are merged instead (blocked SIMD kernel, or a scalar merge below its
+/// 16-element floor). At the last level every match goes straight into the
+/// entry point's sink (flat buffer, counter or emptiness flag). No tuple
+/// rows are ever re-scanned or re-binary-searched during the descent. Runs
+/// in O~(N^{rho*}) total time.
 ///
 /// With `ctx.threads > 1` (or QC_THREADS set), EvaluateFlat/Count/IsEmpty
 /// partition the trie level-0 candidate values into contiguous chunks
@@ -192,20 +196,34 @@ class GenericJoin {
   /// is walked in kPairChunk blocks, the B span clipped per block by a
   /// galloping upper bound, and each block handed to
   /// kernels::IntersectPairPositions. Emits the identical (value, cursors)
-  /// sequence as the historical leapfrog — the engine-level answers stay
+  /// sequence as the leapfrog — the engine-level answers stay
   /// bit-identical across QC_SIMD levels. `scratch` cursors/values/ends must
   /// already be loaded for the two holders.
   template <class Emit>
   void PairIntersect(DepthScratch& scratch, GenericJoinStats* stats,
                      Emit&& emit) const;
 
+  /// Shortest span the two-holder SIMD kernel takes; shorter non-skewed
+  /// pairs are merged by MergeIntersect at every QC_SIMD level.
+  static constexpr std::int64_t kSimdFloor = 16;
+
+  /// Two-holder intersection by a branch-light scalar merge of the two
+  /// spans; emits the identical (value, cursors) sequence as the leapfrog.
+  /// `scratch` cursors/values/ends must already be loaded.
+  template <class Emit>
+  void MergeIntersect(DepthScratch& scratch, Emit&& emit) const;
+
   /// Moves holder `(atom, col)` from matched node `pos` to its child span.
   Span DescendSpan(int atom, int col, std::int32_t pos) const;
 
+  /// Binds attribute `depth` and everything below it. At the last level
+  /// each matched value goes straight to `sink` (a `bool(const Tuple&)`
+  /// callable, false to stop) instead of opening another search frame; the
+  /// node count, budget poll and level span are the same either way.
+  template <class Sink>
   void Search(int depth, std::vector<Span>& spans,
-              std::vector<DepthScratch>& scratch, Tuple& binding,
-              const std::function<bool(const Tuple&)>& visitor, bool* stop,
-              GenericJoinStats* stats) const;
+              std::vector<DepthScratch>& scratch, Tuple& binding, Sink& sink,
+              bool* stop, GenericJoinStats* stats) const;
 
   /// Enumerates the depth-0 intersection (the serial prefix of every
   /// parallel run). Returns false when some relation is empty or the query
@@ -216,11 +234,27 @@ class GenericJoin {
   /// Runs the search subtree of candidate `i`. `spans` must hold every
   /// atom's full level-0 span; holder spans are restored before returning.
   /// `binding` is caller-owned scratch of size attribute_order().size().
+  template <class Sink>
   void SearchCandidate(const RootCandidates& candidates, std::size_t i,
                        std::vector<Span>& spans,
                        std::vector<DepthScratch>& scratch, Tuple& binding,
-                       const std::function<bool(const Tuple&)>& visitor,
-                       bool* stop, GenericJoinStats* stats) const;
+                       Sink& sink, bool* stop, GenericJoinStats* stats) const;
+
+  /// Searches candidates [begin, end) in order with fresh scratch, stopping
+  /// at the first false from `sink`.
+  template <class Sink>
+  void SearchRange(const RootCandidates& candidates, std::size_t begin,
+                   std::size_t end, Sink& sink, GenericJoinStats* stats) const;
+
+  /// One full run behind every entry point: serial when `threads` <= 1,
+  /// otherwise the root candidates split into contiguous chunks on the
+  /// shared ThreadPool. `prepare(chunks)` runs once before any search with
+  /// the chunk count (1 when serial, 0 when the join is trivially empty);
+  /// `sink_for(c)` returns chunk c's sink. Chunks starting after `*done`
+  /// turned true are skipped. Publishes the run's stats and status().
+  template <class Prepare, class SinkFor>
+  void RunSearch(int threads, Prepare&& prepare, SinkFor&& sink_for,
+                 const std::atomic<bool>* done = nullptr);
 
   std::vector<Span> FullSpans() const;
   std::vector<DepthScratch> MakeScratch() const;

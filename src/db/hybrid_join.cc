@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -37,6 +38,69 @@ bool AnyBit(const std::uint64_t* words, std::size_t n) {
   }
   return false;
 }
+
+/// Set bits of `m` as (row, column) pairs in row-major order; stops when
+/// `visit` returns false.
+template <class Visit>
+void ForEachSetPair(const graph::BoolMatrix& m, Visit&& visit) {
+  const std::size_t n = m.words_per_row();
+  for (int i = 0; i < m.rows(); ++i) {
+    const std::uint64_t* words = m.RowWords(i);
+    for (std::size_t w = 0; w < n; ++w) {
+      std::uint64_t bits = words[w];
+      while (bits != 0) {
+        if (!visit(i, static_cast<int>(w * 64) + __builtin_ctzll(bits))) {
+          return;
+        }
+        bits &= bits - 1;
+      }
+    }
+  }
+}
+
+/// Occurrence counts of one column's values. Small non-negative values (the
+/// common vertex-id case) count through a flat array, grown on demand up to
+/// `cap` entries; anything else falls back to hashing.
+class ValueCounts {
+ public:
+  explicit ValueCounts(std::size_t cap)
+      : cap_(cap), dense_(std::min<std::size_t>(cap, 256), 0) {}
+
+  void Add(Value x) {
+    const auto ux = static_cast<std::uint64_t>(x);
+    if (ux < dense_.size()) {
+      ++dense_[ux];
+    } else {
+      AddSlow(x);
+    }
+  }
+
+  /// Appends every value counted more than `delta` times.
+  void AppendOver(std::int64_t delta, std::vector<Value>* out) const {
+    for (std::size_t i = 0; i < dense_.size(); ++i) {
+      if (dense_[i] > delta) out->push_back(static_cast<Value>(i));
+    }
+    for (const auto& [value, c] : sparse_) {
+      if (c > delta) out->push_back(value);
+    }
+  }
+
+ private:
+  void AddSlow(Value x) {
+    const auto ux = static_cast<std::uint64_t>(x);
+    if (ux >= cap_) {
+      ++sparse_[x];
+      return;
+    }
+    dense_.resize(std::min<std::uint64_t>(
+        cap_, std::max<std::uint64_t>(ux + 1, 2 * dense_.size())));
+    ++dense_[ux];
+  }
+
+  std::uint64_t cap_;
+  std::vector<std::int64_t> dense_;
+  std::unordered_map<Value, std::int64_t> sparse_;
+};
 
 std::uint64_t PopcountWords(const std::uint64_t* words, std::size_t n) {
   std::uint64_t total = 0;
@@ -125,23 +189,44 @@ HybridJoin::HybridJoin(const JoinQuery& query, const Database& db,
   ctx_.Count("hybrid.heavy_tuples", plan_.heavy_tuples);
 }
 
+template <class Visit>
+void HybridJoin::PatternAtom::ForEachRow(Visit&& visit) const {
+  // Locals, not raw->...: the visitors write int64 counters, which could
+  // alias the relation's size field and force a reload per row.
+  const std::size_t n = raw->size();
+  const std::size_t stride = static_cast<std::size_t>(raw->arity());
+  const Value* row = raw->data().data();
+  const int cu = col_u, cv = col_v;
+  if (columns.eq_cols.empty()) {
+    for (std::size_t r = 0; r < n; ++r, row += stride) visit(row[cu], row[cv]);
+    return;
+  }
+  for (std::size_t r = 0; r < n; ++r, row += stride) {
+    if (RowPassesEquality(row, columns)) visit(row[cu], row[cv]);
+  }
+}
+
 void HybridJoin::BuildPartition(const Database& db,
                                 std::int64_t delta_override) {
   const std::map<std::string, int> index = query_.AttributeIndex();
   const int k = static_cast<int>(attribute_order_.size());
 
-  // Atom skeleton first: attribute pair and raw size only. The sorted
-  // deduplicated projections are deferred until a heavy value is found, so
-  // the all-light delegation decision costs one counting pass, not a sort.
+  // Atom skeleton: attribute pair, the raw columns holding it (the kept
+  // columns of a repeated-attribute atom, like MaterializeSortedProjection)
+  // and the raw size.
   std::size_t max_rows = 0;
   for (const Atom& atom : query_.atoms) {
-    std::vector<std::string> a = AtomAttributes(atom);
-    int u = index.at(a[0]);
-    int v = index.at(a[1]);
     PatternAtom pa;
-    pa.u = std::min(u, v);
-    pa.v = std::max(u, v);
-    max_rows = std::max(max_rows, db.Flat(atom.relation).size());
+    pa.columns = AnalyzeAtomColumns(atom);
+    const int a0 = index.at(pa.columns.attributes[0]);
+    const int a1 = index.at(pa.columns.attributes[1]);
+    const bool swapped = a0 > a1;
+    pa.u = swapped ? a1 : a0;
+    pa.v = swapped ? a0 : a1;
+    pa.col_u = pa.columns.keep_cols[swapped ? 1 : 0];
+    pa.col_v = pa.columns.keep_cols[swapped ? 0 : 1];
+    pa.raw = &db.Flat(atom.relation);
+    max_rows = std::max(max_rows, pa.raw->size());
     atoms_.push_back(std::move(pa));
   }
 
@@ -175,61 +260,48 @@ void HybridJoin::BuildPartition(const Database& db,
   const std::int64_t delta = plan_.threshold;
 
   // Degree of value x for attribute d: the MAX occurrence count over every
-  // (atom, column) pair holding d, counted over the atom's raw rows. Heavy
-  // iff deg > Δ — the single predicate both phases share (Δ-boundary values
-  // are light). The max never needs merging: x is heavy exactly when SOME
-  // column count clears Δ, so each column just contributes its over-Δ
-  // values and the union is deduplicated at the end. Duplicate base rows
-  // inflate a raw count relative to the deduplicated projection the phases
-  // evaluate; that only nudges a value across the (free-to-choose) split,
-  // never the result. Dense-ranged columns (the common vertex-id case)
-  // count through a flat array; anything sparse falls back to hashing.
+  // (atom, column) pair holding d, counted in one pass over the atom's raw
+  // rows that pass its equality filter. Heavy iff deg > Δ — the single
+  // predicate both phases share (Δ-boundary values are light). The max
+  // never needs merging: x is heavy exactly when SOME column count clears
+  // Δ, so each column just contributes its over-Δ values and the union is
+  // deduplicated at the end. Duplicate base rows inflate a raw count
+  // relative to the deduplicated rows the phases evaluate; that only nudges
+  // a value across the (free-to-choose) split, never the result.
   std::vector<std::vector<Value>> heavy_candidates(k);
-  for (const Atom& atom : query_.atoms) {
-    const FlatRelation& rows = db.Flat(atom.relation);
-    const std::vector<std::string> a = AtomAttributes(atom);
-    const int attr_of_col[2] = {index.at(a[0]), index.at(a[1])};
-    if (rows.empty()) continue;
-    for (int col = 0; col < 2; ++col) {
-      std::vector<Value>& out = heavy_candidates[attr_of_col[col]];
-      Value lo = rows.At(0, col), hi = lo;
-      for (std::size_t r = 1; r < rows.size(); ++r) {
-        const Value x = rows.At(r, col);
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-      }
-      const std::uint64_t range =
-          static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-      if (range <= 4 * rows.size() + 1024) {
-        std::vector<std::int64_t> cnt(static_cast<std::size_t>(range), 0);
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          ++cnt[static_cast<std::size_t>(rows.At(r, col) - lo)];
-        }
-        for (std::size_t i = 0; i < cnt.size(); ++i) {
-          if (cnt[i] > delta) out.push_back(lo + static_cast<Value>(i));
-        }
-      } else {
-        std::unordered_map<Value, std::int64_t> cnt;
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          ++cnt[rows.At(r, col)];
-        }
-        for (const auto& [value, c] : cnt) {
-          if (c > delta) out.push_back(value);
-        }
-      }
-    }
+  for (const PatternAtom& pa : atoms_) {
+    const std::size_t cap = 4 * pa.raw->size() + 1024;
+    ValueCounts cu(cap), cv(cap);
+    pa.ForEachRow([&](Value x, Value y) {
+      cu.Add(x);
+      cv.Add(y);
+    });
+    cu.AppendOver(delta, &heavy_candidates[pa.u]);
+    cv.AppendOver(delta, &heavy_candidates[pa.v]);
   }
   heavy_.resize(k);
   for (int d = 0; d < k; ++d) {
-    std::sort(heavy_candidates[d].begin(), heavy_candidates[d].end());
-    heavy_candidates[d].erase(
-        std::unique(heavy_candidates[d].begin(), heavy_candidates[d].end()),
-        heavy_candidates[d].end());
-    heavy_[d].values = std::move(heavy_candidates[d]);
-    for (std::size_t i = 0; i < heavy_[d].values.size(); ++i) {
-      heavy_[d].index.emplace(heavy_[d].values[i], static_cast<int>(i));
+    std::vector<Value>& values = heavy_candidates[d];
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    HeavyDomain& dom = heavy_[d];
+    dom.values = std::move(values);
+    plan_.heavy_values += dom.values.size();
+    if (dom.values.empty()) continue;
+    dom.lo = dom.values.front();
+    const std::uint64_t range = static_cast<std::uint64_t>(dom.values.back()) -
+                                static_cast<std::uint64_t>(dom.lo) + 1;
+    if (range <= 4 * max_rows + 1024) {
+      dom.dense.assign(static_cast<std::size_t>(range) + 1, -1);
+      for (std::size_t i = 0; i < dom.values.size(); ++i) {
+        dom.dense[static_cast<std::size_t>(dom.values[i] - dom.lo)] =
+            static_cast<std::int32_t>(i);
+      }
+    } else {
+      for (std::size_t i = 0; i < dom.values.size(); ++i) {
+        dom.sparse.emplace(dom.values[i], static_cast<int>(i));
+      }
     }
-    plan_.heavy_values += heavy_[d].values.size();
   }
   if (plan_.heavy_values == 0) {
     // All-light fast path: the entire instance IS the light residual, so
@@ -239,84 +311,73 @@ void HybridJoin::BuildPartition(const Database& db,
     return;
   }
 
-  // Canonical projections, built only now that the split is real: each atom
-  // onto its attribute pair, columns in global-index order, sorted and
-  // deduplicated (the same representation the trie engine indexes; the
-  // residual filters and heavy matrices below slice these rows).
-  for (std::size_t a = 0; a < query_.atoms.size(); ++a) {
-    PatternAtom& pa = atoms_[a];
-    std::vector<std::string> ordered = {attribute_order_[pa.u],
-                                        attribute_order_[pa.v]};
-    pa.rows =
-        MaterializeSortedProjection(query_.atoms[a], db, ordered, ctx_.arena);
-  }
-
-  // Heavy core: per atom, the both-ends-heavy tuples as dense pairs plus
-  // the bit-packed bi-adjacency (and its transpose, so either orientation
-  // of a row intersection is a contiguous load).
+  // Heavy core, straight from the raw rows: per atom the bit-packed
+  // bi-adjacency of its both-ends-heavy tuples. A bit set twice is one
+  // distinct pair, so the popcount is exactly the number of distinct heavy
+  // tuples — ProfitableUnderAuto's input, known without sorting anything.
+  // The transposes the heavy phase also reads wait for RunHeavy.
   for (PatternAtom& pa : atoms_) {
     const HeavyDomain& hu = heavy_[pa.u];
     const HeavyDomain& hv = heavy_[pa.v];
     pa.fwd = graph::BoolMatrix(static_cast<int>(hu.values.size()),
                                static_cast<int>(hv.values.size()));
-    pa.rev = graph::BoolMatrix(static_cast<int>(hv.values.size()),
-                               static_cast<int>(hu.values.size()));
-    for (std::size_t r = 0; r < pa.rows.size(); ++r) {
-      auto iu = hu.index.find(pa.rows.At(r, 0));
-      if (iu == hu.index.end()) continue;
-      auto iv = hv.index.find(pa.rows.At(r, 1));
-      if (iv == hv.index.end()) continue;
-      pa.heavy_pairs.emplace_back(iu->second, iv->second);
-      pa.fwd.Set(iu->second, iv->second);
-      pa.rev.Set(iv->second, iu->second);
+    if (hu.values.empty() || hv.values.empty()) continue;
+    // Word pointer and stride as locals: the bit stores are 64-bit, like
+    // the matrix's size fields, so BoolMatrix::Set would reload those per
+    // row.
+    std::uint64_t* words = pa.fwd.RowWords(0);
+    const std::size_t stride = pa.fwd.words_per_row();
+    auto set = [words, stride](int iu, int iv) {
+      if ((iu | iv) < 0) return;  // Either end light.
+      words[iu * stride + (iv >> 6)] |= std::uint64_t{1} << (iv & 63);
+    };
+    if (!hu.dense.empty() && !hv.dense.empty()) {
+      // HeavyDomain::Find inlined with its fields in registers: this pass
+      // is most of what an auto-mode decline costs.
+      const std::int32_t* du = hu.dense.data();
+      const std::int32_t* dv = hv.dense.data();
+      const std::uint64_t mu = hu.dense.size() - 1, mv = hv.dense.size() - 1;
+      const auto lu = static_cast<std::uint64_t>(hu.lo);
+      const auto lv = static_cast<std::uint64_t>(hv.lo);
+      pa.ForEachRow([=](Value x, Value y) {
+        set(du[std::min(static_cast<std::uint64_t>(x) - lu, mu)],
+            dv[std::min(static_cast<std::uint64_t>(y) - lv, mv)]);
+      });
+    } else {
+      pa.ForEachRow([&](Value x, Value y) { set(hu.Find(x), hv.Find(y)); });
     }
-    plan_.heavy_tuples += pa.heavy_pairs.size();
+    for (int i = 0; i < pa.fwd.rows(); ++i) {
+      plan_.heavy_tuples += PopcountWords(pa.fwd.RowWords(i), stride);
+    }
   }
-
 }
 
-void HybridJoin::EnsureLightParts() {
-  if (!light_parts_.empty()) return;
-  const int k = static_cast<int>(attribute_order_.size());
-  // Light residuals: partition i keeps tuples whose attribute-i columns are
-  // light, attribute-j columns for j < i are heavy, and later columns are
-  // unrestricted. A result tuple lands in exactly the partition of its
-  // first light attribute, so the parts (and the all-heavy core) are
-  // disjoint. The filtered rows go to GenericJoin as direct atom rows, so
-  // their tries stay private to the sub-evaluation. Built lazily: an
-  // auto-mode rejection never pays for the filtered copies.
-  light_parts_.resize(k);
-  for (int i = 0; i < k; ++i) {
-    LightPart& part = light_parts_[i];
-    for (std::size_t a = 0; a < atoms_.size(); ++a) {
-      const PatternAtom& pa = atoms_[a];
-      // 0 = unrestricted, 1 = light-only, 2 = heavy-only.
-      auto col_class = [i](int attr) {
-        if (attr == i) return 1;
-        return attr < i ? 2 : 0;
-      };
-      const int cu = col_class(pa.u);
-      const int cv = col_class(pa.v);
-      FlatRelation filtered(2);
-      for (std::size_t r = 0; r < pa.rows.size(); ++r) {
-        const Value x = pa.rows.At(r, 0);
-        const Value y = pa.rows.At(r, 1);
-        const bool xh = heavy_[pa.u].IsHeavy(x);
-        const bool yh = heavy_[pa.v].IsHeavy(y);
-        if (cu == 1 && xh) continue;
-        if (cu == 2 && !xh) continue;
-        if (cv == 1 && yh) continue;
-        if (cv == 2 && !yh) continue;
-        filtered.PushRow(pa.rows.Row(r));
-      }
-      if (filtered.empty()) part.has_empty_atom = true;
-      plan_.light_tuples += filtered.size();
-      part.atoms.push_back(
-          AtomRows{{attribute_order_[pa.u], attribute_order_[pa.v]},
-                   std::move(filtered)});
-    }
+const std::vector<Value>& HybridJoin::HeavyValues(int attribute) const {
+  static const std::vector<Value> kNone;
+  if (attribute < 0 || attribute >= static_cast<int>(heavy_.size())) {
+    return kNone;
   }
-  ctx_.Count("hybrid.light_tuples", plan_.light_tuples);
+  return heavy_[attribute].values;
+}
+
+FlatRelation HybridJoin::LightRows(const PatternAtom& pa, int part) const {
+  // 0 = unrestricted, 1 = light-only, 2 = heavy-only.
+  auto col_class = [part](int attr) {
+    if (attr == part) return 1;
+    return attr < part ? 2 : 0;
+  };
+  const int cu = col_class(pa.u);
+  const int cv = col_class(pa.v);
+  const HeavyDomain& hu = heavy_[pa.u];
+  const HeavyDomain& hv = heavy_[pa.v];
+  FlatRelation rows(2);
+  pa.ForEachRow([&](Value x, Value y) {
+    if (cu != 0 && hu.IsHeavy(x) != (cu == 2)) return;
+    if (cv != 0 && hv.IsHeavy(y) != (cv == 2)) return;
+    const Value row[2] = {x, y};
+    rows.PushRow(row);
+  });
+  return rows;
 }
 
 const HybridJoin::PatternAtom& HybridJoin::AtomOf(int i, int j) const {
@@ -349,12 +410,33 @@ void HybridJoin::RunLight(Mode mode, FlatRelation* out,
   static const std::uint32_t kLightSpan =
       util::Trace::InternName("hybrid.light");
   util::ScopedSpan span(kLightSpan);
-  EnsureLightParts();
-  for (LightPart& part : light_parts_) {
+  // Light residuals: partition i keeps tuples whose attribute-i columns are
+  // light, attribute-j columns for j < i are heavy, and later columns are
+  // unrestricted. A result tuple lands in exactly the partition of its
+  // first light attribute, so the parts (and the all-heavy core) are
+  // disjoint. Every part is filtered from the raw rows before any runs, so
+  // light_tuples is the same however the evaluation ends; the rows then
+  // move into GenericJoin, which sorts, deduplicates and indexes them in
+  // private tries.
+  const int k = static_cast<int>(attribute_order_.size());
+  std::vector<std::vector<std::optional<AtomRows>>> parts(k);
+  std::vector<bool> has_empty_atom(k, false);
+  plan_.light_tuples = 0;
+  for (int i = 0; i < k; ++i) {
+    for (const PatternAtom& pa : atoms_) {
+      FlatRelation rows = LightRows(pa, i);
+      if (rows.empty()) has_empty_atom[i] = true;
+      plan_.light_tuples += rows.size();
+      parts[i].push_back(AtomRows{
+          {attribute_order_[pa.u], attribute_order_[pa.v]}, std::move(rows)});
+    }
+  }
+  ctx_.Count("hybrid.light_tuples", plan_.light_tuples);
+  for (int i = 0; i < k; ++i) {
     if (Stopped()) return;
     if (mode == Mode::kIsEmpty && *found) return;
-    if (part.has_empty_atom) continue;
-    GenericJoin gj(query_, db_, attribute_order_, ctx_, part.atoms);
+    if (has_empty_atom[i]) continue;
+    GenericJoin gj(query_, db_, attribute_order_, ctx_, std::move(parts[i]));
     switch (mode) {
       case Mode::kEvaluate: {
         FlatJoinResult r = gj.EvaluateFlat();
@@ -382,6 +464,16 @@ void HybridJoin::RunHeavy(Mode mode, FlatRelation* out,
   util::ScopedSpan span(kHeavySpan);
   if (Stopped()) return;
   if (mode == Mode::kIsEmpty && *found) return;
+  if (!transposed_) {
+    for (PatternAtom& pa : atoms_) {
+      pa.rev = graph::BoolMatrix(pa.fwd.cols(), pa.fwd.rows());
+      ForEachSetPair(pa.fwd, [&pa](int iu, int iv) {
+        pa.rev.Set(iv, iu);
+        return true;
+      });
+    }
+    transposed_ = true;
+  }
   switch (plan_.pattern) {
     case HybridPattern::kTriangle:
       HeavyTriangle(mode, out, count, found);
@@ -418,21 +510,22 @@ void HybridJoin::HeavyTriangle(Mode mode, FlatRelation* out,
   const std::size_t wn = m10.words_per_row();  // H_0 words (== m20's)
   std::vector<std::uint64_t> witness(wn);
   Tuple binding(3);
-  for (const auto& [b, c] : AtomOf(1, 2).heavy_pairs) {
-    if (ChargeAndPoll(budget_.get())) return;
-    if (!p->Test(b, c)) continue;
+  // Heavy (b, c) tuples in (H_1, H_2) order, read off the atom's bits.
+  ForEachSetPair(AtomOf(1, 2).fwd, [&](int b, int c) {
+    if (ChargeAndPoll(budget_.get())) return false;
+    if (!p->Test(b, c)) return true;
     switch (mode) {
       case Mode::kCount: {
         const std::uint64_t w =
             kernels::AndPopcount(m10.RowWords(b), m20.RowWords(c), wn);
         plan_.heavy_rows += w;
         *count += w;
-        break;
+        return true;
       }
       case Mode::kIsEmpty:
         // The product bit already proves a witness exists.
         *found = true;
-        return;
+        return false;
       case Mode::kEvaluate: {
         kernels::AndWords2(witness.data(), m10.RowWords(b), m20.RowWords(c),
                            wn);
@@ -448,11 +541,11 @@ void HybridJoin::HeavyTriangle(Mode mode, FlatRelation* out,
           // row_limit rows land at the limit.
           if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
         });
-        if (stop) return;
-        break;
+        return !stop;
       }
     }
-  }
+    return true;
+  });
 }
 
 void HybridJoin::HeavyFourCycle(Mode mode, FlatRelation* out,
@@ -546,11 +639,11 @@ void HybridJoin::HeavyClique(Mode mode, FlatRelation* out,
   std::vector<std::uint64_t> s2(w2), s3ab(w3), s3(w3), s4ab(w4), s4(w4),
       s4d(w4);
   Tuple binding(five ? 5 : 4);
-  for (const auto& [a, b] : AtomOf(0, 1).heavy_pairs) {
-    if (ChargeAndPoll(budget_.get())) return;
+  ForEachSetPair(AtomOf(0, 1).fwd, [&](int a, int b) {
+    if (ChargeAndPoll(budget_.get())) return false;
     kernels::AndWords2(s2.data(), Mat(0, 2).RowWords(a), Mat(1, 2).RowWords(b),
                        w2);
-    if (!AnyBit(s2.data(), w2)) continue;
+    if (!AnyBit(s2.data(), w2)) return true;
     kernels::AndWords2(s3ab.data(), Mat(0, 3).RowWords(a),
                        Mat(1, 3).RowWords(b), w3);
     if (five) {
@@ -623,8 +716,8 @@ void HybridJoin::HeavyClique(Mode mode, FlatRelation* out,
         }
       });
     });
-    if (stop) return;  // emptiness witnessed, or row budget tripped
-  }
+    return !stop;  // false: emptiness witnessed, or row budget tripped
+  });
 }
 
 FlatJoinResult HybridJoin::EvaluateFlat() {

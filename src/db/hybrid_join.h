@@ -1,10 +1,10 @@
 #ifndef QC_DB_HYBRID_JOIN_H_
 #define QC_DB_HYBRID_JOIN_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +12,7 @@
 #include "core/context.h"
 #include "db/database.h"
 #include "db/generic_join.h"
+#include "db/joins.h"
 #include "graph/boolmatrix.h"
 #include "util/budget.h"
 
@@ -44,8 +45,11 @@ struct HybridPlan {
   std::int64_t threshold = 0;         ///< Resolved degree threshold Δ.
   bool threshold_overridden = false;  ///< Δ came from the caller, not √N.
   std::uint64_t heavy_values = 0;     ///< Heavy (attribute, value) pairs.
-  std::uint64_t heavy_tuples = 0;     ///< Atom tuples with both ends heavy.
-  std::uint64_t light_tuples = 0;     ///< Atom tuples across light residuals.
+  /// Distinct atom tuples with both ends heavy (set heavy-matrix bits).
+  std::uint64_t heavy_tuples = 0;
+  /// Atom rows handed to the light residuals, before GenericJoin
+  /// deduplicates them (0 until a non-delegated evaluation runs).
+  std::uint64_t light_tuples = 0;
   std::uint64_t heavy_rows = 0;       ///< Result rows from the heavy phase.
   std::uint64_t light_rows = 0;       ///< Result rows from the light phase.
   /// True when no value was heavy: the whole run was one pure GenericJoin
@@ -70,12 +74,19 @@ struct HybridPlan {
 /// reproduces GenericJoin's output bit-identically at any thread count and
 /// any QC_SIMD level.
 ///
+/// Decide before materializing: construction reads each atom's raw rows
+/// (repeated-attribute equality filter applied, kept columns only) twice —
+/// once for the degrees, once to set the heavy bi-adjacency bits — and
+/// sorts nothing. Everything ProfitableUnderAuto reads is known then, so an
+/// auto-mode decline costs those two passes. The light residuals are
+/// filtered from the raw rows only when an evaluation runs.
+///
 /// Cache seam: each light residual hands its filtered atom rows to
-/// GenericJoin directly (AtomRows), which indexes them in private tries that
-/// never enter ctx.index_cache — partition tries never alias the parent
-/// relation's version-keyed entries, and single-use partitions never pollute
-/// the shared cache. Only the delegated all-light fast path, which evaluates
-/// the *original* atoms, uses the shared cache.
+/// GenericJoin directly (AtomRows), which sorts, deduplicates and indexes
+/// them in private tries that never enter ctx.index_cache — partition tries
+/// never alias the parent relation's version-keyed entries, and single-use
+/// partitions never pollute the shared cache. Only the delegated all-light
+/// fast path, which evaluates the *original* atoms, uses the shared cache.
 ///
 /// Budget: both phases observe the budget resolved from `ctx` (the light
 /// residuals through GenericJoin's per-node poll, the heavy phase per MM
@@ -86,8 +97,8 @@ struct HybridPlan {
 /// output order. Count returns a partial undercount; IsEmpty's "empty" is
 /// only trustworthy when status() == kCompleted.
 ///
-/// `query` and `db` must outlive the planner (the delegated fast path
-/// re-reads them at evaluation time).
+/// `query` and `db` must outlive the planner (evaluation re-reads the raw
+/// rows).
 class HybridJoin {
  public:
   HybridJoin(const JoinQuery& query, const Database& db,
@@ -117,37 +128,58 @@ class HybridJoin {
   const std::vector<std::string>& attribute_order() const {
     return attribute_order_;
   }
+  /// Sorted heavy values of attribute `attribute` (an index into
+  /// attribute_order()); empty when the planner does not apply.
+  const std::vector<Value>& HeavyValues(int attribute) const;
 
  private:
   enum class Mode { kEvaluate, kCount, kIsEmpty };
 
-  /// One atom projected onto its (sorted-by-global-index) attribute pair.
+  /// One atom, read straight from its relation's raw rows.
   struct PatternAtom {
-    int u = 0;           ///< Smaller global attribute index.
-    int v = 0;           ///< Larger global attribute index.
-    FlatRelation rows;   ///< Sorted deduped projection, columns (u, v).
-    /// Heavy-restricted tuples as dense (H_u, H_v) index pairs, row order.
-    std::vector<std::pair<int, int>> heavy_pairs;
+    int u = 0;  ///< Smaller global attribute index.
+    int v = 0;  ///< Larger global attribute index.
+    const FlatRelation* raw = nullptr;  ///< The atom's relation in db_.
+    AtomColumns columns;                ///< Repeated-attribute filter.
+    int col_u = 0;                      ///< Raw column holding u.
+    int col_v = 0;                      ///< Raw column holding v.
     graph::BoolMatrix fwd;  ///< |H_u| x |H_v| heavy bi-adjacency.
-    graph::BoolMatrix rev;  ///< Transpose of fwd.
+    graph::BoolMatrix rev;  ///< Transpose of fwd, built by RunHeavy.
+
+    /// Calls visit(x_u, x_v) for every raw row passing the filter.
+    template <class Visit>
+    void ForEachRow(Visit&& visit) const;
   };
 
-  /// Heavy value domain of one attribute.
+  /// Heavy value domain of one attribute. Lookups go through a flat array
+  /// over the heavy values' range when it is dense, and through a hash map
+  /// only for sparse domains.
   struct HeavyDomain {
-    std::vector<Value> values;             ///< Sorted heavy values.
-    std::unordered_map<Value, int> index;  ///< value -> dense id.
-    bool IsHeavy(Value value) const { return index.count(value) != 0; }
-  };
+    std::vector<Value> values;         ///< Sorted heavy values.
+    Value lo = 0;                      ///< Smallest heavy value.
+    /// value - lo -> dense id or -1, plus one trailing -1 that every
+    /// out-of-range value clamps to, so a lookup never branches on the
+    /// (data-dependent) range test.
+    std::vector<std::int32_t> dense;
+    std::unordered_map<Value, int> sparse;  ///< Used when dense is empty.
 
-  /// One light residual: the restricted rows of every atom.
-  struct LightPart {
-    std::vector<std::optional<AtomRows>> atoms;
-    bool has_empty_atom = false;  ///< Some restriction emptied an atom.
+    /// Dense id of `value`, or -1 when it is light.
+    int Find(Value value) const {
+      if (dense.empty()) {
+        auto it = sparse.find(value);
+        return it == sparse.end() ? -1 : it->second;
+      }
+      const std::uint64_t off =
+          static_cast<std::uint64_t>(value) - static_cast<std::uint64_t>(lo);
+      return dense[std::min<std::uint64_t>(off, dense.size() - 1)];
+    }
+    bool IsHeavy(Value value) const { return Find(value) >= 0; }
   };
 
   void BuildPartition(const Database& db, std::int64_t delta_override);
-  /// Builds the light residual sub-instances on first use (RunLight).
-  void EnsureLightParts();
+  /// Residual `part`'s rows of atom `pa`: the attribute-`part` column light,
+  /// columns of earlier attributes heavy, later columns unrestricted.
+  FlatRelation LightRows(const PatternAtom& pa, int part) const;
   /// Oriented heavy matrix for ordered attribute pair (i, j): rows over
   /// H_i, columns over H_j. The pair must be an atom of the pattern.
   const graph::BoolMatrix& Mat(int i, int j) const;
@@ -178,8 +210,8 @@ class HybridJoin {
 
   std::vector<PatternAtom> atoms_;
   std::vector<HeavyDomain> heavy_;       ///< One per global attribute.
-  std::vector<LightPart> light_parts_;   ///< One per global attribute.
   std::array<int, 4> cycle_{};           ///< 4-cycle attr order (c0..c3).
+  bool transposed_ = false;              ///< Every PatternAtom::rev built.
 };
 
 }  // namespace qc::db

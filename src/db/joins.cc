@@ -5,17 +5,6 @@
 
 namespace qc::db {
 
-namespace {
-
-/// Shared prep for atom materialization: distinct attributes in
-/// first-occurrence order, the source column of each, and the repeated
-/// columns that must agree with their first occurrence.
-struct AtomColumns {
-  std::vector<std::string> attributes;       ///< Deduplicated schema.
-  std::vector<int> keep_cols;                ///< Source column per attribute.
-  std::vector<std::pair<int, int>> eq_cols;  ///< (first, repeat) pairs.
-};
-
 AtomColumns AnalyzeAtomColumns(const Atom& atom) {
   AtomColumns cols;
   for (std::size_t i = 0; i < atom.attributes.size(); ++i) {
@@ -38,8 +27,6 @@ bool RowPassesEquality(const Value* row, const AtomColumns& cols) {
   }
   return true;
 }
-
-}  // namespace
 
 JoinResult MaterializeAtom(const Atom& atom, const Database& db) {
   AtomColumns cols = AnalyzeAtomColumns(atom);

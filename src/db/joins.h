@@ -3,6 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "db/database.h"
 #include "util/budget.h"
@@ -40,6 +43,20 @@ std::vector<int> GreedyJoinOrder(const JoinQuery& query, const Database& db);
 /// EvaluateBinaryJoinPlan with GreedyJoinOrder.
 JoinResult EvaluateGreedyBinaryJoin(const JoinQuery& query, const Database& db,
                                     JoinStats* stats = nullptr);
+
+/// Shared prep for reading an atom's raw rows: distinct attributes in
+/// first-occurrence order, the source column of each, and the repeated
+/// columns that must agree with their first occurrence.
+struct AtomColumns {
+  std::vector<std::string> attributes;       ///< Deduplicated schema.
+  std::vector<int> keep_cols;                ///< Source column per attribute.
+  std::vector<std::pair<int, int>> eq_cols;  ///< (first, repeat) pairs.
+};
+
+AtomColumns AnalyzeAtomColumns(const Atom& atom);
+
+/// True when raw `row` satisfies the atom's repeated-attribute equalities.
+bool RowPassesEquality(const Value* row, const AtomColumns& cols);
 
 /// Loads one atom as a JoinResult (handles repeated attributes within the
 /// atom by filtering on equality and dropping the duplicate columns).

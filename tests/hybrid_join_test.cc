@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/autosolver.h"
@@ -16,11 +19,14 @@
 #include "db/database.h"
 #include "db/generic_join.h"
 #include "db/hybrid_join.h"
+#include "db/joins.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "util/budget.h"
+#include "util/counters.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace qc::db {
 namespace {
@@ -100,6 +106,99 @@ void ExpectHybridMatchesGeneric(const JoinQuery& q, const Database& db,
     HybridJoin decider(q, db, ctx, delta);
     EXPECT_EQ(decider.IsEmpty(), reference.tuples.empty())
         << "delta=" << delta << " threads=" << threads;
+  }
+}
+
+/// The E17 triangle: three relations of 1500 uniform rows over a 48-value
+/// domain (duplicates included) — heavy values exist, but the heavy core is
+/// too sparse for auto mode to take it.
+JoinQuery UniformTriangleQuery() {
+  JoinQuery q;
+  q.Add("R1", {"a", "b"}).Add("R2", {"a", "c"}).Add("R3", {"b", "c"});
+  return q;
+}
+
+Database UniformTriangleDb(std::uint64_t seed) {
+  util::Rng rng(seed);
+  Database db;
+  for (const char* name : {"R1", "R2", "R3"}) {
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 1500; ++i) {
+      rows.push_back({static_cast<Value>(rng.NextBounded(48)),
+                      static_cast<Value>(rng.NextBounded(48))});
+    }
+    db.SetRelation(name, 2, std::move(rows));
+  }
+  return db;
+}
+
+/// The planner's split recomputed by brute force: Δ from the largest raw
+/// relation (unless `delta` > 0), each value's degree counted per (atom,
+/// kept column) over the raw rows that pass the atom's repeated-attribute
+/// filter, heavy sets as the union of the over-Δ values, and heavy tuples as
+/// the distinct both-heavy pairs of every atom.
+struct ReferencePlan {
+  std::int64_t threshold = 0;
+  std::vector<std::vector<Value>> heavy;  ///< Sorted, per query attribute.
+  std::uint64_t heavy_values = 0;
+  std::uint64_t heavy_tuples = 0;
+};
+
+ReferencePlan BruteForcePlan(const JoinQuery& q, const Database& db,
+                             std::int64_t delta) {
+  const std::map<std::string, int> index = q.AttributeIndex();
+  ReferencePlan ref;
+  std::size_t max_rows = 0;
+  for (const Atom& atom : q.atoms) {
+    max_rows = std::max(max_rows, db.NumTuples(atom.relation));
+  }
+  ref.threshold =
+      delta > 0 ? delta
+                : std::max<std::int64_t>(
+                      1, static_cast<std::int64_t>(
+                             std::sqrt(static_cast<double>(max_rows))));
+  std::vector<std::set<Value>> heavy(index.size());
+  for (const Atom& atom : q.atoms) {
+    // MaterializeAtom: kept columns, equality-filtered, duplicates kept.
+    const JoinResult rows = MaterializeAtom(atom, db);
+    for (std::size_t c = 0; c < rows.attributes.size(); ++c) {
+      std::map<Value, std::int64_t> degree;
+      for (const Tuple& t : rows.tuples) ++degree[t[c]];
+      for (const auto& [value, d] : degree) {
+        if (d > ref.threshold) heavy[index.at(rows.attributes[c])].insert(value);
+      }
+    }
+  }
+  for (const Atom& atom : q.atoms) {
+    const JoinResult rows = MaterializeAtom(atom, db);
+    const std::set<Value>& h0 = heavy[index.at(rows.attributes[0])];
+    const std::set<Value>& h1 = heavy[index.at(rows.attributes[1])];
+    std::set<std::pair<Value, Value>> pairs;
+    for (const Tuple& t : rows.tuples) {
+      if (h0.count(t[0]) != 0 && h1.count(t[1]) != 0) pairs.insert({t[0], t[1]});
+    }
+    ref.heavy_tuples += pairs.size();
+  }
+  for (const std::set<Value>& h : heavy) {
+    ref.heavy.emplace_back(h.begin(), h.end());
+    ref.heavy_values += h.size();
+  }
+  return ref;
+}
+
+void ExpectPlanMatchesReference(const JoinQuery& q, const Database& db,
+                                std::int64_t delta) {
+  SCOPED_TRACE("delta=" + std::to_string(delta));
+  const ReferencePlan ref = BruteForcePlan(q, db, delta);
+  HybridJoin hybrid(q, db, ExecutionContext(), delta);
+  ASSERT_TRUE(hybrid.applicable());
+  EXPECT_EQ(hybrid.plan().threshold, ref.threshold);
+  EXPECT_EQ(hybrid.plan().heavy_values, ref.heavy_values);
+  EXPECT_EQ(hybrid.plan().heavy_tuples, ref.heavy_tuples);
+  EXPECT_EQ(hybrid.plan().delegated, ref.heavy_values == 0);
+  for (std::size_t d = 0; d < ref.heavy.size(); ++d) {
+    EXPECT_EQ(hybrid.HeavyValues(static_cast<int>(d)), ref.heavy[d])
+        << "attribute " << d;
   }
 }
 
@@ -206,6 +305,96 @@ TEST(HybridJoinPlanTest, EmptyRelationDelegatesAndMatches) {
   EXPECT_TRUE(hybrid.plan().delegated);
   EXPECT_TRUE(hybrid.Evaluate().tuples.empty());
   EXPECT_TRUE(hybrid.IsEmpty());
+}
+
+TEST(HybridJoinPlanTest, PlanMatchesBruteForceReference) {
+  ExpectPlanMatchesReference(UniformTriangleQuery(), UniformTriangleDb(17), 0);
+  util::Rng hub_rng(5);
+  const Database hub = EdgeDb(graph::HubGraph(80, 4, 60, &hub_rng));
+  for (std::int64_t delta : {0, 1, 8}) {
+    ExpectPlanMatchesReference(TriangleQuery(), hub, delta);
+    ExpectPlanMatchesReference(FourCycleQuery(), hub, delta);
+  }
+  for (double exponent : {1.0, 1.5, 2.0}) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      util::Rng rng(seed);
+      const Database zipf = EdgeDb(graph::ZipfGraph(60, 200, exponent, &rng));
+      ExpectPlanMatchesReference(TriangleQuery(), zipf, 0);
+      ExpectPlanMatchesReference(FourCliqueQuery(), zipf, 3);
+    }
+  }
+}
+
+TEST(HybridJoinPlanTest, SparseAndNegativeValueDomains) {
+  // Vertex ids spread far apart and shifted below zero: degree counting
+  // and heavy lookups leave their flat arrays for the hash fallbacks, and
+  // the plan and answers must not change.
+  util::Rng rng(67);
+  const graph::Graph g = graph::HubGraph(60, 4, 80, &rng);
+  for (const Value scale : {Value{1}, Value{1000003}}) {
+    std::vector<Tuple> rows;
+    for (const auto& [u, v] : g.Edges()) {
+      const Value a = u * scale - 500000000, b = v * scale - 500000000;
+      rows.push_back({a, b});
+      rows.push_back({b, a});
+    }
+    Database db;
+    db.SetRelation("E", 2, std::move(rows));
+    SCOPED_TRACE(scale);
+    for (std::int64_t delta : {0, 1, 6}) {
+      ExpectPlanMatchesReference(TriangleQuery(), db, delta);
+      ExpectPlanMatchesReference(FourCycleQuery(), db, delta);
+      ExpectHybridMatchesGeneric(TriangleQuery(), db, delta);
+      ExpectHybridMatchesGeneric(FourCycleQuery(), db, delta);
+    }
+  }
+}
+
+TEST(HybridJoinPlanTest, RepeatedAttributeAtomReadsKeptColumns) {
+  // R(a,a,b): the degree pass must read b from raw column 2 (not the
+  // repeated a in column 1) and skip rows where the two a's differ.
+  util::Rng rng(61);
+  std::vector<Tuple> r_rows, s_rows, t_rows;
+  for (int i = 0; i < 240; ++i) {
+    const Value a = static_cast<Value>(rng.NextBounded(12));
+    const Value b = static_cast<Value>(rng.NextBounded(12));
+    // A third of the rows fail the a = a filter.
+    r_rows.push_back({a, i % 3 == 0 ? (a + 1) % 12 : a, b});
+  }
+  for (int i = 0; i < 160; ++i) {
+    s_rows.push_back({static_cast<Value>(rng.NextBounded(12)),
+                      static_cast<Value>(rng.NextBounded(12))});
+    t_rows.push_back({static_cast<Value>(rng.NextBounded(12)),
+                      static_cast<Value>(rng.NextBounded(12))});
+  }
+  Database db;
+  db.SetRelation("R", 3, r_rows);
+  db.SetRelation("S", 2, s_rows);
+  db.SetRelation("T", 2, t_rows);
+  JoinQuery q;
+  q.Add("R", {"a", "a", "b"}).Add("S", {"b", "c"}).Add("T", {"a", "c"});
+  ASSERT_EQ(DetectHybridPattern(q), HybridPattern::kTriangle);
+  for (std::int64_t delta : {0, 1, 2, 5, 12}) {
+    ExpectPlanMatchesReference(q, db, delta);
+    if (delta <= 5) ExpectHybridMatchesGeneric(q, db, delta);
+  }
+  // The split is not trivial at the automatic threshold.
+  const ReferencePlan ref = BruteForcePlan(q, db, 0);
+  ASSERT_GT(ref.heavy_values, 0u);
+  ASSERT_LT(ref.heavy_values, 36u);
+
+  // Routed answers equal GenericJoin under auto and forced hybrid.
+  const FlatJoinResult expected = GenericJoin(q, db).EvaluateFlat();
+  for (HybridMode mode : {HybridMode::kAuto, HybridMode::kOn}) {
+    for (std::int64_t delta : {0, 1, 2, 5}) {
+      ExecutionContext ctx;
+      ctx.hybrid_mode = mode;
+      ctx.hybrid_delta = delta;
+      core::AutoQueryResult r = core::EvaluateQueryAuto(q, db, ctx);
+      EXPECT_EQ(r.result.rows.data(), expected.rows.data())
+          << "mode=" << static_cast<int>(mode) << " delta=" << delta;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -396,6 +585,57 @@ TEST(HybridJoinRoutingTest, AutoRejectionStillRecordsPlan) {
       core::EvaluateQueryAuto(TriangleQuery(), db, ExecutionContext());
   EXPECT_EQ(r.method, core::SolveMethod::kGenericJoin);
   EXPECT_EQ(r.plan.pattern, HybridPattern::kTriangle);
+}
+
+TEST(HybridJoinRoutingTest, AutoDeclineDoesNoLightWork) {
+  // E17: heavy values exist, the heavy core is unprofitable. The decline
+  // happens on degree counts and heavy bits alone — no light residual is
+  // filtered and no hybrid phase runs.
+  const JoinQuery q = UniformTriangleQuery();
+  const Database db = UniformTriangleDb(17);
+  util::Counters counters;
+  ExecutionContext ctx;
+  ctx.counters = &counters;
+  util::Trace::Enable();
+  core::AutoQueryResult r = core::EvaluateQueryAuto(q, db, ctx);
+  util::TraceReport trace = util::Trace::Collect();
+  util::Trace::Disable();
+  util::Trace::Reset();
+  EXPECT_EQ(r.method, core::SolveMethod::kGenericJoin);
+  EXPECT_EQ(r.plan.pattern, HybridPattern::kTriangle);
+  EXPECT_GT(r.plan.heavy_values, 0u);
+  EXPECT_GT(r.plan.heavy_tuples, 0u);
+  EXPECT_EQ(r.plan.light_tuples, 0u);
+  EXPECT_EQ(counters.Get("hybrid.light_tuples"), 0u);
+  EXPECT_EQ(counters.Get("hybrid.dispatches"), 0u);
+  EXPECT_NE(trace.root.Find("hybrid.partition"), nullptr);
+  EXPECT_EQ(trace.root.Find("hybrid.light"), nullptr);
+  EXPECT_EQ(trace.root.Find("hybrid.heavy"), nullptr);
+  EXPECT_EQ(r.result.rows.data(), GenericJoin(q, db).EvaluateFlat().rows.data());
+}
+
+TEST(HybridJoinRoutingTest, OnIsBitIdenticalAtEveryThreadCount) {
+  util::Rng hub_rng(7);
+  const Database hub = EdgeDb(graph::HubGraph(80, 6, 60, &hub_rng));
+  const Database uniform = UniformTriangleDb(17);
+  const struct {
+    JoinQuery q;
+    const Database* db;
+  } cases[] = {{TriangleQuery(), &hub},
+               {FourCycleQuery(), &hub},
+               {UniformTriangleQuery(), &uniform}};
+  for (const auto& c : cases) {
+    const FlatJoinResult expected = GenericJoin(c.q, *c.db).EvaluateFlat();
+    for (int threads : {1, 2, 8}) {
+      ExecutionContext ctx;
+      ctx.threads = threads;
+      ctx.hybrid_mode = HybridMode::kOn;
+      core::AutoQueryResult r = core::EvaluateQueryAuto(c.q, *c.db, ctx);
+      EXPECT_EQ(r.method, core::SolveMethod::kHybridJoin) << threads;
+      EXPECT_EQ(r.result.attributes, expected.attributes) << threads;
+      EXPECT_EQ(r.result.rows.data(), expected.rows.data()) << threads;
+    }
+  }
 }
 
 TEST(HybridJoinRoutingTest, AcyclicQueryStaysWithYannakakis) {

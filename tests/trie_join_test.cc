@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "db/agm.h"
 #include "db/database.h"
 #include "db/generic_join.h"
 #include "gtest/gtest.h"
+#include "kernels/dispatch.h"
+#include "util/budget.h"
 #include "util/rng.h"
 
 namespace qc::db {
@@ -149,6 +153,185 @@ TEST(TrieJoinEquivalenceTest, TrieNodeCounterExported) {
   GenericJoin gj(q, d, ctx);
   EXPECT_GT(gj.trie_nodes(), 0u);
   EXPECT_EQ(sink.Get("trie.nodes"), gj.trie_nodes());
+}
+
+// ---------------------------------------------------------------------------
+// Leaf sink: the last search level hands each binding straight to the entry
+// point's sink (flat buffer, counter, emptiness flag). EvaluateFlat, Count
+// and IsEmpty must agree with the Enumerate visitor and the nested-loop
+// reference at every thread count and SIMD level, one-attribute queries
+// included (there the root level is the leaf).
+
+/// Runs `check` once per SIMD level this CPU supports, restoring the level
+/// that was active before.
+template <class Check>
+void ForEachSimdLevel(Check&& check) {
+  const kernels::SimdLevel before = kernels::ActiveSimdLevel();
+  for (kernels::SimdLevel level :
+       {kernels::SimdLevel::kScalar, kernels::SimdLevel::kAvx2,
+        kernels::SimdLevel::kAvx512}) {
+    if (level > kernels::BestSupportedSimdLevel()) continue;
+    kernels::ForceSimdLevel(level);
+    SCOPED_TRACE(kernels::SimdLevelName(level));
+    check();
+  }
+  kernels::ForceSimdLevel(before);
+}
+
+void ExpectSinksAgree(const JoinQuery& q, const Database& d) {
+  JoinResult reference = EvaluateNestedLoop(q, d);
+  reference.Normalize();
+  ForEachSimdLevel([&] {
+    // The visitor path, serial by contract, is the order baseline.
+    std::vector<Tuple> visited;
+    GenericJoin enumerator(q, d, ExecutionContext());
+    enumerator.Enumerate([&visited](const Tuple& t) {
+      visited.push_back(t);
+      return true;
+    });
+    EXPECT_EQ(visited, reference.tuples);
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ExecutionContext ctx;
+      ctx.threads = threads;
+      GenericJoin gj(q, d, ctx);
+      FlatJoinResult flat = gj.EvaluateFlat();
+      EXPECT_FALSE(flat.truncated);
+      EXPECT_EQ(flat.rows.ToRows(), visited);
+      EXPECT_EQ(gj.stats().nodes, enumerator.stats().nodes);
+      EXPECT_EQ(GenericJoin(q, d, ctx).Count(), visited.size());
+      EXPECT_EQ(GenericJoin(q, d, ctx).IsEmpty(), visited.empty());
+    }
+  });
+}
+
+TEST(GenericJoinLeafSinkTest, OneAttributeQuery) {
+  Database d;
+  d.SetRelation("R", 1, {{3}, {1}, {4}, {1}, {5}, {9}, {2}, {6}});
+  d.SetRelation("S", 1, {{5}, {3}, {5}, {8}, {9}, {7}, {9}, {3}});
+  JoinQuery q;
+  q.Add("R", {"a"}).Add("S", {"a"});
+  ExpectSinksAgree(q, d);
+  JoinQuery single;
+  single.Add("R", {"a"});
+  ExpectSinksAgree(single, d);
+}
+
+TEST(GenericJoinLeafSinkTest, AcyclicPath) {
+  util::Rng rng(41);
+  JoinQuery q;
+  q.Add("R", {"a", "b"}).Add("S", {"b", "c"}).Add("T", {"c", "d"});
+  ExpectSinksAgree(q, RandomDatabase(q, 120, 15, &rng));
+}
+
+TEST(GenericJoinLeafSinkTest, CyclicTriangleAndFourCycle) {
+  util::Rng rng(43);
+  JoinQuery tri;
+  tri.Add("R", {"a", "b"}).Add("S", {"b", "c"}).Add("T", {"a", "c"});
+  ExpectSinksAgree(tri, RandomDatabase(tri, 300, 20, &rng));
+  JoinQuery cyc;
+  cyc.Add("R", {"a", "b"}).Add("S", {"b", "c"}).Add("T", {"c", "d"})
+      .Add("U", {"a", "d"});
+  ExpectSinksAgree(cyc, RandomDatabase(cyc, 150, 12, &rng));
+}
+
+TEST(GenericJoinLeafSinkTest, DuplicateBaseRows) {
+  // Every row appears three times; the tries deduplicate, so each answer
+  // still reaches the sink exactly once.
+  util::Rng rng(47);
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 80; ++i) {
+    const Tuple t = {static_cast<Value>(rng.NextBounded(10)),
+                     static_cast<Value>(rng.NextBounded(10))};
+    for (int copy = 0; copy < 3; ++copy) rows.push_back(t);
+  }
+  Database d;
+  d.SetRelation("E", 2, rows);
+  JoinQuery q;
+  q.Add("E", {"a", "b"}).Add("E", {"b", "c"}).Add("E", {"a", "c"});
+  ExpectSinksAgree(q, d);
+}
+
+TEST(GenericJoinLeafSinkTest, RowLimitMaterializesExactlyMaxRows) {
+  util::Rng rng(53);
+  JoinQuery q;
+  q.Add("R", {"a", "b"}).Add("S", {"b", "c"}).Add("T", {"a", "c"});
+  Database d = RandomDatabase(q, 1024, 64, &rng);
+  ASSERT_GT(GenericJoin(q, d, ExecutionContext()).Count(), 25u);
+  ForEachSimdLevel([&] {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ExecutionContext ctx;
+      ctx.threads = threads;
+      ctx.max_output_rows = 25;
+      GenericJoin gj(q, d, ctx);
+      FlatJoinResult flat = gj.EvaluateFlat();
+      EXPECT_EQ(flat.rows.size(), 25u);
+      EXPECT_TRUE(flat.truncated);
+      EXPECT_EQ(gj.status(), util::RunStatus::kBudgetExhausted);
+    }
+  });
+}
+
+/// The E17 triangle instance: three relations of 1500 uniform rows over a
+/// 48-value domain (duplicates included).
+Database UniformTriangleDb(std::uint64_t seed) {
+  util::Rng rng(seed);
+  Database d;
+  for (const char* name : {"R1", "R2", "R3"}) {
+    FlatRelation rows(2);
+    for (int i = 0; i < 1500; ++i) {
+      const Value row[2] = {static_cast<Value>(rng.NextBounded(48)),
+                            static_cast<Value>(rng.NextBounded(48))};
+      rows.PushRow(row);
+    }
+    d.SetRelation(name, std::move(rows));
+  }
+  return d;
+}
+
+/// The ingest_views triangle instance: 9,600 distinct directed edges over
+/// 600 vertices, no self-loops.
+Database SparseDigraphDb(std::uint64_t seed) {
+  constexpr int kVertices = 600;
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> seen(kVertices * kVertices, 0);
+  FlatRelation edges(2);
+  while (edges.size() < 9600) {
+    const auto u = static_cast<Value>(rng.NextBounded(kVertices));
+    const auto v = static_cast<Value>(rng.NextBounded(kVertices));
+    if (u == v || seen[u * kVertices + v] != 0) continue;
+    seen[u * kVertices + v] = 1;
+    const Value row[2] = {u, v};
+    edges.PushRow(row);
+  }
+  Database d;
+  d.SetRelation("E", std::move(edges));
+  return d;
+}
+
+TEST(GenericJoinLeafSinkTest, SearchNodeCountsArePinned) {
+  // The leaf sink and the short-span merge change how a level is walked,
+  // not which nodes it visits: these counts are the galloping engine's.
+  JoinQuery e17;
+  e17.Add("R1", {"a", "b"}).Add("R2", {"a", "c"}).Add("R3", {"b", "c"});
+  JoinQuery ingest;
+  ingest.Add("E", {"a", "b"}).Add("E", {"b", "c"}).Add("E", {"a", "c"});
+  const Database e17_db = UniformTriangleDb(17);
+  const Database ingest_db = SparseDigraphDb(17);
+  ForEachSimdLevel([&] {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(threads);
+      ExecutionContext ctx;
+      ctx.threads = threads;
+      GenericJoin tri(e17, e17_db, ctx);
+      EXPECT_EQ(tri.EvaluateFlat().rows.size(), 12400u);
+      EXPECT_EQ(tri.stats().nodes, 13556u);
+      GenericJoin sparse(ingest, ingest_db, ctx);
+      EXPECT_EQ(sparse.EvaluateFlat().rows.size(), 4101u);
+      EXPECT_EQ(sparse.stats().nodes, 14301u);
+    }
+  });
 }
 
 }  // namespace
