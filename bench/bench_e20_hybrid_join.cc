@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
   report.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - run_start)
                        .count();
-  api::FillPlannerSection(&report, last_plan);
+  report.planner = last_plan;
   if (report_path != nullptr) {
     report.trace = util::Trace::Collect();
     util::Trace::Disable();

@@ -51,8 +51,8 @@ struct ReportSink {
                          std::chrono::steady_clock::now() - start)
                          .count();
     report.FillBudget(budget, options.deadline_ms > 0);
-    report.cache.enabled = options.index_cache_mb > 0;
-    report.cache.capacity_bytes = options.index_cache_mb << 20;
+    // The tour builds no IndexCache, so the cache section stays absent
+    // (enabled = false) whatever --index-cache-mb says.
     if (!options.report_json.empty()) {
       report.trace = qc::util::Trace::Collect();
       qc::util::Trace::Disable();

@@ -306,7 +306,7 @@ QueryResponse ExecuteQuery(const QueryRequest& req, const db::Database& db,
     resp.status = result.status;
     resp.method = core::ToString(result.method);
     resp.result = std::move(result.result);
-    FillPlannerSection(&resp.report, result.plan);
+    resp.report.planner = result.plan;
   } catch (const std::bad_alloc&) {
     resp.internal_error = true;
     resp.error = "allocation failure during query evaluation";
@@ -319,8 +319,11 @@ QueryResponse ExecuteQuery(const QueryRequest& req, const db::Database& db,
                             std::chrono::steady_clock::now() - start)
                             .count();
   resp.report.FillBudget(*budget, req.options.deadline_ms > 0);
-  FillCacheSection(&resp.report, cache);
-  if (cache != nullptr) cache->ExportCounters(&counters);
+  if (cache != nullptr) {
+    // One snapshot feeds both the section and the index_cache.* counters.
+    resp.report.cache = cache->stats();
+    db::IndexCache::ExportCounters(resp.report.cache, &counters);
+  }
   // With fault injection active, the report shows which failure paths this
   // request exercised ("fault.<point>.evals"/".fires").
   if (util::FaultsEnabled()) {
@@ -339,41 +342,6 @@ QueryResponse ExecuteQuery(const QueryRequest& req, const db::Database& db,
   }
   resp.report.server.request_id = req.id;
   return resp;
-}
-
-void FillCacheSection(util::RunReport* report, const db::IndexCache* cache) {
-  if (cache == nullptr) return;
-  db::IndexCacheStats stats = cache->stats();
-  report->cache.enabled = true;
-  report->cache.hits = stats.hits;
-  report->cache.misses = stats.misses;
-  report->cache.evictions = stats.evictions;
-  report->cache.bytes = stats.bytes;
-  report->cache.capacity_bytes = stats.capacity_bytes;
-  report->cache.entries = stats.entries;
-}
-
-void FillPlannerSection(util::RunReport* report, const db::HybridPlan& plan) {
-  if (plan.pattern == db::HybridPattern::kNone) return;
-  report->planner.present = true;
-  report->planner.pattern = db::ToString(plan.pattern);
-  report->planner.threshold = plan.threshold;
-  report->planner.threshold_overridden = plan.threshold_overridden;
-  report->planner.delegated = plan.delegated;
-  report->planner.heavy_values = plan.heavy_values;
-  report->planner.heavy_tuples = plan.heavy_tuples;
-  report->planner.light_tuples = plan.light_tuples;
-  report->planner.heavy_rows = plan.heavy_rows;
-  report->planner.light_rows = plan.light_rows;
-}
-
-void FillIvmSection(util::RunReport* report, const db::IvmStats& stats) {
-  report->ivm.present = true;
-  report->ivm.views = stats.views;
-  report->ivm.updates = stats.updates;
-  report->ivm.dirty_subtree_sweeps = stats.dirty_subtree_sweeps;
-  report->ivm.rows_delta_applied = stats.rows_delta_applied;
-  report->ivm.full_recomputes = stats.full_recomputes;
 }
 
 int FinishReport(const SessionOptions& opts, const util::RunReport& report,

@@ -7,9 +7,7 @@
 
 #include "api/session_options.h"
 #include "db/database.h"
-#include "db/hybrid_join.h"
 #include "db/index_cache.h"
-#include "db/ivm.h"
 #include "util/run_report.h"
 
 namespace qc::api {
@@ -135,20 +133,6 @@ struct QueryResponse {
 /// snapshot). `cache` may be shared across concurrent calls (or null).
 QueryResponse ExecuteQuery(const QueryRequest& req, const db::Database& db,
                            db::IndexCache* cache);
-
-/// Copies an index cache's stats into the report's cache section (no-op on
-/// null cache, leaving `enabled` false).
-void FillCacheSection(util::RunReport* report, const db::IndexCache* cache);
-
-/// Copies a view registry's IVM counters into the report's ivm section
-/// (marking it present). Callers with no registered views skip the call to
-/// keep the historical report schema byte-for-byte.
-void FillIvmSection(util::RunReport* report, const db::IvmStats& stats);
-
-/// Copies the hybrid planner's decision record into the report's planner
-/// section (marking it present). No-op when the planner never examined the
-/// query (plan.pattern == kNone), keeping the historical schema intact.
-void FillPlannerSection(util::RunReport* report, const db::HybridPlan& plan);
 
 /// The one finishing path behind `--report-json`: writes `report` to
 /// `opts.report_json` when set, prints the internal-error diagnostic for

@@ -112,22 +112,6 @@ std::uint64_t PopcountWords(const std::uint64_t* words, std::size_t n) {
 
 }  // namespace
 
-std::string ToString(HybridPattern pattern) {
-  switch (pattern) {
-    case HybridPattern::kNone:
-      return "none";
-    case HybridPattern::kTriangle:
-      return "triangle";
-    case HybridPattern::kFourCycle:
-      return "4-cycle";
-    case HybridPattern::kFourClique:
-      return "4-clique";
-    case HybridPattern::kFiveClique:
-      return "5-clique";
-  }
-  return "?";
-}
-
 HybridPattern DetectHybridPattern(const JoinQuery& query) {
   const std::vector<std::string> attrs = query.AttributeOrder();
   const int k = static_cast<int>(attrs.size());

@@ -15,47 +15,16 @@
 #include "db/joins.h"
 #include "graph/boolmatrix.h"
 #include "util/budget.h"
+#include "util/stats_fields.h"
 
 namespace qc::db {
 
-/// Small join patterns the degree-split hybrid planner recognizes: every
-/// atom must be binary over two distinct attributes, no attribute pair may
-/// repeat, and the pair graph must be one of the shapes below (the cyclic
-/// core of Fan–Koutris's fine-grained taxonomy, where the MM route of
-/// Abo Khamis–Hu–Suciu beats the submodular-width bound on skewed inputs).
-/// Everything else is kNone and stays with the caller's usual engine.
-enum class HybridPattern {
-  kNone = 0,
-  kTriangle,    ///< 3 attributes, all 3 pairs.
-  kFourCycle,   ///< 4 attributes, 4 pairs forming a cycle.
-  kFourClique,  ///< 4 attributes, all 6 pairs.
-  kFiveClique,  ///< 5 attributes, all 10 pairs.
-};
-
-std::string ToString(HybridPattern pattern);
+using util::HybridPattern;
+using util::HybridPlan;
 
 /// Classifies `query`, returning kNone when the planner does not apply.
 /// Purely structural and cheap — safe to call on every routed query.
 HybridPattern DetectHybridPattern(const JoinQuery& query);
-
-/// What the planner decided and how much each phase saw. Surfaced as the
-/// RunReport "planner" section and the "hybrid.*" counters.
-struct HybridPlan {
-  HybridPattern pattern = HybridPattern::kNone;
-  std::int64_t threshold = 0;         ///< Resolved degree threshold Δ.
-  bool threshold_overridden = false;  ///< Δ came from the caller, not √N.
-  std::uint64_t heavy_values = 0;     ///< Heavy (attribute, value) pairs.
-  /// Distinct atom tuples with both ends heavy (set heavy-matrix bits).
-  std::uint64_t heavy_tuples = 0;
-  /// Atom rows handed to the light residuals, before GenericJoin
-  /// deduplicates them (0 until a non-delegated evaluation runs).
-  std::uint64_t light_tuples = 0;
-  std::uint64_t heavy_rows = 0;       ///< Result rows from the heavy phase.
-  std::uint64_t light_rows = 0;       ///< Result rows from the light phase.
-  /// True when no value was heavy: the whole run was one pure GenericJoin
-  /// over the original instance (the all-light fast path).
-  bool delegated = false;
-};
 
 /// Degree-splitting hybrid MM/WCOJ join (DESIGN.md §15).
 ///

@@ -36,12 +36,12 @@ IndexCache::EntryPtr IndexCache::GetOrBuild(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) {
-      ++hits_;
+      ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       util::ScopedSpan span(kHitSpan);
       return it->second.entry;
     }
-    ++misses_;
+    ++stats_.misses;
   }
   // Build outside the lock: a large build must not serialize unrelated
   // lookups. Concurrent misses on one key may both reach here; the second
@@ -64,44 +64,38 @@ IndexCache::EntryPtr IndexCache::GetOrBuild(
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.entry;
   }
-  if (built->bytes > capacity_bytes_) {
-    ++rejected_;
+  if (built->bytes > stats_.capacity_bytes) {
+    ++stats_.rejected;
     return built;  // Usable, but too large to ever share.
   }
   // "index_cache.insert" degrades exactly like the oversized path above:
   // the caller keeps a private, fully usable index and only the sharing is
   // lost — the graceful-degradation contract for cache faults.
   if (util::FaultsEnabled() && util::FaultPoint("index_cache.insert")) {
-    ++rejected_;
+    ++stats_.rejected;
     return built;
   }
   EvictToFitLocked(built->bytes);
   lru_.push_front(key);
-  bytes_ += built->bytes;
+  stats_.bytes += built->bytes;
   map_.emplace(key, Slot{built, lru_.begin()});
   return built;
 }
 
 void IndexCache::EvictToFitLocked(std::size_t incoming) {
-  while (!lru_.empty() && bytes_ + incoming > capacity_bytes_) {
+  while (!lru_.empty() && stats_.bytes + incoming > stats_.capacity_bytes) {
     auto victim = map_.find(lru_.back());
-    bytes_ -= victim->second.entry->bytes;
+    stats_.bytes -= victim->second.entry->bytes;
     map_.erase(victim);
     lru_.pop_back();
-    ++evictions_;
+    ++stats_.evictions;
   }
 }
 
 IndexCacheStats IndexCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  IndexCacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.rejected = rejected_;
-  s.bytes = bytes_;
+  IndexCacheStats s = stats_;
   s.entries = map_.size();
-  s.capacity_bytes = capacity_bytes_;
   return s;
 }
 
@@ -109,18 +103,12 @@ void IndexCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
   lru_.clear();
-  bytes_ = 0;
+  stats_.bytes = 0;
 }
 
-void IndexCache::ExportCounters(util::Counters* sink) const {
-  IndexCacheStats s = stats();
-  sink->Add("index_cache.hits", s.hits);
-  sink->Add("index_cache.misses", s.misses);
-  sink->Add("index_cache.evictions", s.evictions);
-  sink->Add("index_cache.rejected", s.rejected);
-  sink->Set("index_cache.bytes", s.bytes);
-  sink->Set("index_cache.entries", s.entries);
-  sink->Set("index_cache.capacity_bytes", s.capacity_bytes);
+void IndexCache::ExportCounters(const IndexCacheStats& stats,
+                                util::Counters* sink) {
+  util::ExportFields(sink, "index_cache.", stats);
 }
 
 }  // namespace qc::db

@@ -11,21 +11,11 @@
 
 #include "db/trie_index.h"
 #include "util/counters.h"
+#include "util/stats_fields.h"
 
 namespace qc::db {
 
-/// Point-in-time view of one IndexCache's counters and occupancy.
-struct IndexCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  /// Entries built but never inserted because they alone exceed the cap
-  /// (the caller still gets a working index — it just isn't shared).
-  std::uint64_t rejected = 0;
-  std::size_t bytes = 0;    ///< Current accounted footprint.
-  std::size_t entries = 0;  ///< Current resident entry count.
-  std::size_t capacity_bytes = 0;
-};
+using util::IndexCacheStats;
 
 /// Shared, thread-safe cache of trie indexes keyed by
 /// (relation name, relation version, projection signature).
@@ -68,8 +58,10 @@ class IndexCache {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
-  explicit IndexCache(std::size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+  explicit IndexCache(std::size_t capacity_bytes) {
+    stats_.enabled = true;
+    stats_.capacity_bytes = capacity_bytes;
+  }
 
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
@@ -82,14 +74,18 @@ class IndexCache {
                       const std::function<Entry()>& build);
 
   IndexCacheStats stats() const;
-  std::size_t capacity_bytes() const { return capacity_bytes_; }
+  std::size_t capacity_bytes() const { return stats_.capacity_bytes; }
 
   /// Drops every entry (counters are kept; in-flight EntryPtrs stay valid).
   void Clear();
 
-  /// Publishes "index_cache.{hits,misses,evictions,rejected}" as counters
-  /// and "index_cache.{bytes,entries,capacity_bytes}" as gauges.
-  void ExportCounters(util::Counters* sink) const;
+  /// Publishes `stats` under "index_cache.": the hit, miss, eviction and
+  /// rejection counts as counters, the occupancy fields as gauges.
+  static void ExportCounters(const IndexCacheStats& stats,
+                             util::Counters* sink);
+  void ExportCounters(util::Counters* sink) const {
+    ExportCounters(stats(), sink);
+  }
 
  private:
   struct Slot {
@@ -102,12 +98,9 @@ class IndexCache {
   void EvictToFitLocked(std::size_t incoming);
 
   mutable std::mutex mu_;
-  std::size_t capacity_bytes_;
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t rejected_ = 0;
+  /// Counters and footprint, guarded by mu_ (`entries` is read off map_);
+  /// capacity_bytes is fixed at construction.
+  IndexCacheStats stats_;
   /// Most-recently-used at the front; values are the map keys.
   std::list<std::string> lru_;
   std::unordered_map<std::string, Slot> map_;

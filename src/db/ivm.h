@@ -10,6 +10,7 @@
 
 #include "db/database.h"
 #include "db/wal.h"
+#include "util/stats_fields.h"
 
 namespace qc::db {
 
@@ -52,18 +53,7 @@ struct RelationDelta {
   std::size_t old_size = 0;  ///< kAppend: first new row index.
 };
 
-/// Monotonic maintenance counters (the RunReport `ivm` section).
-struct IvmStats {
-  std::uint64_t views = 0;    ///< Currently registered views.
-  std::uint64_t updates = 0;  ///< Commits that touched >= 1 view.
-  /// Delta sweeps executed: one per (view, dirty atom) pair with a
-  /// nonempty delta on a commit.
-  std::uint64_t dirty_subtree_sweeps = 0;
-  /// New result rows merged into maintained state by delta sweeps.
-  std::uint64_t rows_delta_applied = 0;
-  /// Full recomputes (registration, kReplace deltas, rebuilds).
-  std::uint64_t full_recomputes = 0;
-};
+using util::IvmStats;
 
 /// A consistent copy of one view's maintained state.
 struct ViewRead {

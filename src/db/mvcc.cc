@@ -351,12 +351,4 @@ MvccStats MvccDatabase::stats() const {
   return stats_;
 }
 
-void MvccDatabase::ExportCounters(util::Counters* sink) const {
-  MvccStats s = stats();
-  sink->Add("mvcc.mutations", s.mutations);
-  sink->Add("mvcc.snapshots", s.snapshots);
-  sink->Add("mvcc.snapshot_builds", s.snapshot_builds);
-  sink->Add("mvcc.wal_rejections", s.wal_rejections);
-}
-
 }  // namespace qc::db

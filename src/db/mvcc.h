@@ -13,7 +13,7 @@
 #include "db/database.h"
 #include "db/ivm.h"
 #include "db/wal.h"
-#include "util/counters.h"
+#include "util/stats_fields.h"
 
 namespace qc::db {
 
@@ -23,6 +23,14 @@ struct MvccStats {
   std::uint64_t snapshots = 0;        ///< Snapshot() calls served.
   std::uint64_t snapshot_builds = 0;  ///< Snapshots that cloned (cache miss).
   std::uint64_t wal_rejections = 0;   ///< Mutations refused by a WAL append.
+
+  template <class F>
+  void ForEachField(F&& f) const {
+    f("mutations", mutations, util::FieldKind::kCounter);
+    f("snapshots", snapshots, util::FieldKind::kCounter);
+    f("snapshot_builds", snapshot_builds, util::FieldKind::kCounter);
+    f("wal_rejections", wal_rejections, util::FieldKind::kCounter);
+  }
 };
 
 /// A reader snapshot: an immutable Database pinned at a write epoch.
@@ -171,10 +179,6 @@ class MvccDatabase {
   std::uint64_t Epoch() const;
 
   MvccStats stats() const;
-
-  /// Publishes "mvcc.{mutations,snapshots,snapshot_builds,wal_rejections}"
-  /// counters.
-  void ExportCounters(util::Counters* sink) const;
 
  private:
   /// Caller holds mu_. Bumps the epoch and drops the cached snapshot.

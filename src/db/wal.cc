@@ -537,9 +537,8 @@ bool Wal::Open(const WalOptions& options, std::string* error) {
   options_ = options;
   fd_ = fd;
   generation_ = generation;
-  log_bytes_ = size;
+  stats_.log_bytes = size;
   unsynced_bytes_ = 0;
-  stats_.log_bytes = log_bytes_;
   return true;
 }
 
@@ -592,9 +591,8 @@ bool Wal::Append(const WalRecord& record, std::string* error) {
     ++stats_.append_failures;
     return false;
   }
-  log_bytes_ += frame.size();
+  stats_.log_bytes += frame.size();
   unsynced_bytes_ += frame.size();
-  stats_.log_bytes = log_bytes_;
   ++stats_.records_appended;
   stats_.bytes_appended += frame.size();
 
@@ -744,16 +742,15 @@ bool Wal::Compact(const Database& db,
   ::close(fd_);
   fd_ = log_fd;
   ++generation_;
-  log_bytes_ = kHeaderBytes;
+  stats_.log_bytes = kHeaderBytes;
   unsynced_bytes_ = 0;
-  stats_.log_bytes = log_bytes_;
   ++stats_.compactions;
   return true;
 }
 
 std::uint64_t Wal::log_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return fd_ >= 0 ? log_bytes_ : 0;
+  return fd_ >= 0 ? stats_.log_bytes : 0;
 }
 
 std::uint64_t Wal::generation() const {
@@ -763,7 +760,9 @@ std::uint64_t Wal::generation() const {
 
 WalStats Wal::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  WalStats s = stats_;
+  s.enabled = fd_ >= 0;
+  return s;
 }
 
 WalRecovery Wal::Replay(

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "util/stats_fields.h"
 
 namespace qc::db {
 
@@ -75,18 +76,29 @@ bool DecodeWalRecord(std::string_view payload, WalRecord* out,
                      std::string* error);
 
 struct WalStats {
+  bool enabled = false;  ///< A log is open: mutations are durable.
   std::uint64_t records_appended = 0;
   std::uint64_t bytes_appended = 0;
   std::uint64_t syncs = 0;
   std::uint64_t compactions = 0;
   std::uint64_t log_bytes = 0;       ///< Current wal.log size.
   std::uint64_t append_failures = 0; ///< I/O or injected-fault rejections.
+
+  template <class F>
+  void ForEachField(F&& f) const {
+    f("enabled", enabled, util::FieldKind::kGauge);
+    f("records_appended", records_appended, util::FieldKind::kCounter);
+    f("bytes_appended", bytes_appended, util::FieldKind::kCounter);
+    f("syncs", syncs, util::FieldKind::kCounter);
+    f("compactions", compactions, util::FieldKind::kCounter);
+    f("log_bytes", log_bytes, util::FieldKind::kGauge);
+    f("append_failures", append_failures, util::FieldKind::kCounter);
+  }
 };
 
-/// Outcome of Wal::Replay.
-struct WalRecovery {
-  bool ok = false;
-  std::string error;  ///< Meaningful only when !ok.
+/// What Wal::Replay applied and skipped (also carried by the server's
+/// RecoveryInfo).
+struct WalReplayCounts {
   std::uint64_t snapshot_records = 0;  ///< Applied from snapshot.dat.
   std::uint64_t log_records = 0;       ///< Applied from wal.log.
   std::uint64_t torn_bytes_truncated = 0;  ///< Invalid tail cut from the log.
@@ -98,6 +110,12 @@ struct WalRecovery {
   /// a crash between Compact's snapshot rename and its log rotation.
   /// Replaying it would double-apply everything, so it is discarded.
   std::uint64_t stale_log_bytes_skipped = 0;
+};
+
+/// Outcome of Wal::Replay.
+struct WalRecovery : WalReplayCounts {
+  bool ok = false;
+  std::string error;  ///< Meaningful only when !ok.
   /// Every request id seen (dedup window from the snapshot plus the id of
   /// each replayed record) — the server's idempotency set after recovery.
   std::vector<std::uint64_t> request_ids;
@@ -208,7 +226,6 @@ class Wal {
   WalOptions options_;
   int fd_ = -1;
   std::uint64_t generation_ = 0;
-  std::uint64_t log_bytes_ = 0;
   std::uint64_t unsynced_bytes_ = 0;
   WalStats stats_;
 };

@@ -8,35 +8,35 @@ AdmissionController::Decision AdmissionController::Admit() {
   std::unique_lock<std::mutex> lock(mu_);
   Decision decision;
   auto snapshot_state = [&] {
-    decision.queue_depth = queued_;
-    decision.running = running_;
+    decision.queue_depth = stats_.queued;
+    decision.running = stats_.running;
   };
   if (closed_) {
     decision.outcome = Outcome::kClosed;
     snapshot_state();
     return decision;
   }
-  if (running_ < options_.max_concurrent) {
-    ++running_;
-    ++admitted_;
+  if (stats_.running < options_.max_concurrent) {
+    ++stats_.running;
+    ++stats_.admitted;
     decision.outcome = Outcome::kAdmitted;
     snapshot_state();
     return decision;
   }
-  if (queued_ >= options_.queue_capacity) {
-    ++rejected_;
+  if (stats_.queued >= options_.queue_capacity) {
+    ++stats_.rejected;
     decision.outcome = Outcome::kRejectedSaturated;
     snapshot_state();
     return decision;
   }
 
-  ++queued_;
-  if (static_cast<std::uint64_t>(queued_) > max_queued_) {
-    max_queued_ = static_cast<std::uint64_t>(queued_);
+  ++stats_.queued;
+  if (static_cast<std::uint64_t>(stats_.queued) > stats_.max_queued) {
+    stats_.max_queued = static_cast<std::uint64_t>(stats_.queued);
   }
   auto wait_start = std::chrono::steady_clock::now();
   auto admissible = [&] {
-    return closed_ || running_ < options_.max_concurrent;
+    return closed_ || stats_.running < options_.max_concurrent;
   };
   bool got_slot;
   if (options_.queue_timeout_ms > 0) {
@@ -47,18 +47,18 @@ AdmissionController::Decision AdmissionController::Admit() {
     cv_.wait(lock, admissible);
     got_slot = true;
   }
-  --queued_;
+  --stats_.queued;
   decision.queue_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - wait_start)
                           .count();
   if (closed_) {
     decision.outcome = Outcome::kClosed;
   } else if (!got_slot) {
-    ++timed_out_;
+    ++stats_.timed_out;
     decision.outcome = Outcome::kTimedOut;
   } else {
-    ++running_;
-    ++admitted_;
+    ++stats_.running;
+    ++stats_.admitted;
     decision.outcome = Outcome::kAdmitted;
   }
   snapshot_state();
@@ -68,7 +68,7 @@ AdmissionController::Decision AdmissionController::Admit() {
 void AdmissionController::Release() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --running_;
+    --stats_.running;
   }
   cv_.notify_one();
 }
@@ -83,14 +83,7 @@ void AdmissionController::Close() {
 
 AdmissionStats AdmissionController::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  AdmissionStats s;
-  s.admitted = admitted_;
-  s.rejected = rejected_;
-  s.timed_out = timed_out_;
-  s.max_queued = max_queued_;
-  s.running = running_;
-  s.queued = queued_;
-  return s;
+  return stats_;
 }
 
 }  // namespace qc::server

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <mutex>
 
+#include "util/stats_fields.h"
+
 namespace qc::server {
 
 /// Process-style codes for admission outcomes, continuing the repo's
@@ -33,6 +35,16 @@ struct AdmissionStats {
   std::uint64_t max_queued = 0; ///< High-water queue depth.
   int running = 0;              ///< Currently executing.
   int queued = 0;               ///< Currently waiting.
+
+  template <class F>
+  void ForEachField(F&& f) const {
+    f("admitted", admitted, util::FieldKind::kCounter);
+    f("rejected", rejected, util::FieldKind::kCounter);
+    f("timed_out", timed_out, util::FieldKind::kCounter);
+    f("max_queued", max_queued, util::FieldKind::kGauge);
+    f("running", running, util::FieldKind::kGauge);
+    f("queued", queued, util::FieldKind::kGauge);
+  }
 };
 
 /// Global admission control for qc_serverd: a counting gate with a bounded
@@ -82,12 +94,7 @@ class AdmissionController {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool closed_ = false;
-  int running_ = 0;
-  int queued_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t timed_out_ = 0;
-  std::uint64_t max_queued_ = 0;
+  AdmissionStats stats_;  ///< Live counts and levels, guarded by mu_.
 };
 
 /// RAII admission slot: releases on destruction when admitted.

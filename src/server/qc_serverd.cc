@@ -32,6 +32,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/query_api.h"
@@ -209,15 +210,13 @@ int main(int argc, char** argv) {
     std::cerr << "qc_serverd: " << error << "\n";
     return 7;
   }
-  qc::server::RecoveryInfo rec = server.recovery();
+  const qc::server::RecoveryInfo rec = server.recovery();
   if (rec.ran) {
-    std::cerr << "recovered " << rec.snapshot_records
-              << " snapshot record(s) + " << rec.log_records
-              << " log record(s), " << rec.torn_bytes_truncated
-              << " torn byte(s) truncated, " << rec.request_ids
-              << " request id(s) remembered, views_rebuilt="
-              << rec.views_rebuilt << " views_failed=" << rec.views_failed
-              << "\n";
+    std::cerr << "recovered:";
+    rec.ForEachField([](std::string_view key, auto value, qc::util::FieldKind) {
+      std::cerr << ' ' << key << '=' << value;
+    });
+    std::cerr << "\n";
   }
 
   // A durable restart already holds its data; re-applying --preload on top

@@ -218,11 +218,7 @@ bool QueryServer::Recover(std::string* error) {
   recovery_.view_defs = view_defs.size();
   recovery_.views_rebuilt = views_rebuilt;
   recovery_.views_failed = views_failed;
-  recovery_.snapshot_records = recovered.snapshot_records;
-  recovery_.log_records = recovered.log_records;
-  recovery_.torn_bytes_truncated = recovered.torn_bytes_truncated;
-  recovery_.duplicate_records_skipped = recovered.duplicate_records_skipped;
-  recovery_.stale_log_bytes_skipped = recovered.stale_log_bytes_skipped;
+  static_cast<db::WalReplayCounts&>(recovery_) = recovered;
   recovery_.request_ids = recovered.request_ids.size();
   return true;
 }
@@ -383,7 +379,7 @@ void QueryServer::HandleQuery(const api::Frame& request,
   resp.report.tool = "qc_serverd";
   resp.report.server.present = true;
   resp.report.server.request_id = id;
-  if (!views_.empty()) api::FillIvmSection(&resp.report, views_.stats());
+  if (!views_.empty()) resp.report.ivm = views_.stats();
 
   // 4. Stream: hdr, bounded row batches, per-request report, end.
   RowReply(id, resp.status, resp.method, resp.result.truncated,
@@ -603,7 +599,7 @@ void QueryServer::HandleViewRead(const api::Frame& request,
   report.server.request_id = id;
   report.server.queue_ms = 0.0;
   report.server.snapshot_epoch = state.epoch;
-  api::FillIvmSection(&report, views_.stats());
+  report.ivm = views_.stats();
   report.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - started)
                        .count();
@@ -750,85 +746,26 @@ ServerStats QueryServer::stats() const {
   s.queue_sheds = queue_sheds_.load(std::memory_order_relaxed);
   s.drain_rejects = drain_rejects_.load(std::memory_order_relaxed);
   s.draining = draining();
-  s.wal_enabled = wal_.is_open();
   return s;
 }
 
 std::string QueryServer::StatsJson() const {
-  ServerStats s = stats();
+  const ServerStats s = stats();
   util::JsonWriter w;
   w.BeginObject();
-  w.Key("connections").Uint(s.connections);
-  w.Key("requests").Uint(s.requests);
-  w.Key("queries").Uint(s.queries);
-  w.Key("mutations").Uint(s.mutations);
-  w.Key("mutations_deduped").Uint(s.mutations_deduped);
-  w.Key("view_registers").Uint(s.view_registers);
-  w.Key("view_reads").Uint(s.view_reads);
-  w.Key("input_errors").Uint(s.input_errors);
-  w.Key("protocol_errors").Uint(s.protocol_errors);
-  w.Key("queue_sheds").Uint(s.queue_sheds);
-  w.Key("drain_rejects").Uint(s.drain_rejects);
-  w.Key("draining").Bool(s.draining);
-  w.Key("admission").BeginObject();
-  w.Key("admitted").Uint(s.admission.admitted);
-  w.Key("rejected").Uint(s.admission.rejected);
-  w.Key("timed_out").Uint(s.admission.timed_out);
-  w.Key("max_queued").Uint(s.admission.max_queued);
-  w.Key("running").Int(s.admission.running);
-  w.Key("queued").Int(s.admission.queued);
-  w.EndObject();
-  w.Key("mvcc").BeginObject();
-  w.Key("mutations").Uint(s.mvcc.mutations);
-  w.Key("snapshots").Uint(s.mvcc.snapshots);
-  w.Key("snapshot_builds").Uint(s.mvcc.snapshot_builds);
-  w.Key("wal_rejections").Uint(s.mvcc.wal_rejections);
-  w.EndObject();
-  w.Key("ivm").BeginObject();
-  w.Key("views").Uint(s.ivm.views);
-  w.Key("updates").Uint(s.ivm.updates);
-  w.Key("dirty_subtree_sweeps").Uint(s.ivm.dirty_subtree_sweeps);
-  w.Key("rows_delta_applied").Uint(s.ivm.rows_delta_applied);
-  w.Key("full_recomputes").Uint(s.ivm.full_recomputes);
-  w.EndObject();
+  util::WriteFields(w, s);
+  util::WriteSection(w, "admission", s.admission);
+  util::WriteSection(w, "mvcc", s.mvcc);
+  util::WriteSection(w, "ivm", s.ivm);
   w.Key("wal").BeginObject();
-  w.Key("enabled").Bool(s.wal_enabled);
-  w.Key("records_appended").Uint(s.wal.records_appended);
-  w.Key("bytes_appended").Uint(s.wal.bytes_appended);
-  w.Key("syncs").Uint(s.wal.syncs);
-  w.Key("compactions").Uint(s.wal.compactions);
-  w.Key("log_bytes").Uint(s.wal.log_bytes);
-  w.Key("append_failures").Uint(s.wal.append_failures);
-  w.Key("recovered").BeginObject();
-  w.Key("ran").Bool(s.recovery.ran);
-  w.Key("snapshot_records").Uint(s.recovery.snapshot_records);
-  w.Key("log_records").Uint(s.recovery.log_records);
-  w.Key("torn_bytes_truncated").Uint(s.recovery.torn_bytes_truncated);
-  w.Key("duplicate_records_skipped")
-      .Uint(s.recovery.duplicate_records_skipped);
-  w.Key("stale_log_bytes_skipped").Uint(s.recovery.stale_log_bytes_skipped);
-  w.Key("request_ids").Uint(s.recovery.request_ids);
-  w.Key("view_defs").Uint(s.recovery.view_defs);
-  w.Key("views_rebuilt").Uint(s.recovery.views_rebuilt);
-  w.Key("views_failed").Uint(s.recovery.views_failed);
+  util::WriteFields(w, s.wal);
+  util::WriteSection(w, "recovered", s.recovery);
   w.EndObject();
-  w.EndObject();
-  w.Key("cache").BeginObject();
-  w.Key("enabled").Bool(cache_ != nullptr);
-  w.Key("hits").Uint(s.cache.hits);
-  w.Key("misses").Uint(s.cache.misses);
-  w.Key("evictions").Uint(s.cache.evictions);
-  w.Key("bytes").Uint(s.cache.bytes);
-  w.Key("capacity_bytes").Uint(s.cache.capacity_bytes);
-  w.Key("entries").Uint(s.cache.entries);
-  w.EndObject();
+  util::WriteSection(w, "cache", s.cache);
   if (util::FaultsEnabled()) {
     w.Key("faults").BeginObject();
     for (const auto& p : util::FaultRegistry::Global().stats()) {
-      w.Key(p.point).BeginObject();
-      w.Key("evals").Uint(p.evals);
-      w.Key("fires").Uint(p.fires);
-      w.EndObject();
+      util::WriteSection(w, p.point, p);
     }
     w.EndObject();
   }

@@ -23,6 +23,7 @@
 #include "db/mvcc.h"
 #include "db/wal.h"
 #include "server/admission.h"
+#include "util/stats_fields.h"
 
 namespace qc::server {
 
@@ -49,19 +50,32 @@ struct ServerOptions {
 
 /// Outcome of QueryServer::Recover — surfaced in logs and StatsJson so an
 /// operator can see exactly what a restart replayed.
-struct RecoveryInfo {
+struct RecoveryInfo : db::WalReplayCounts {
   bool ran = false;  ///< False until Recover() is called with a wal dir.
-  std::uint64_t snapshot_records = 0;
-  std::uint64_t log_records = 0;
-  std::uint64_t torn_bytes_truncated = 0;
-  std::uint64_t duplicate_records_skipped = 0;  ///< Re-logged request ids.
-  std::uint64_t stale_log_bytes_skipped = 0;  ///< Snapshot-covered log.
   std::uint64_t request_ids = 0;  ///< Dedup ids recovered.
   std::uint64_t view_defs = 0;       ///< kViewDef records replayed.
   std::uint64_t views_rebuilt = 0;   ///< Views re-registered after replay.
   std::uint64_t views_failed = 0;    ///< Definitions that failed to rebuild.
+
+  template <class F>
+  void ForEachField(F&& f) const {
+    using util::FieldKind;
+    f("ran", ran, FieldKind::kGauge);
+    f("snapshot_records", snapshot_records, FieldKind::kCounter);
+    f("log_records", log_records, FieldKind::kCounter);
+    f("torn_bytes_truncated", torn_bytes_truncated, FieldKind::kCounter);
+    f("duplicate_records_skipped", duplicate_records_skipped,
+      FieldKind::kCounter);
+    f("stale_log_bytes_skipped", stale_log_bytes_skipped, FieldKind::kCounter);
+    f("request_ids", request_ids, FieldKind::kCounter);
+    f("view_defs", view_defs, FieldKind::kCounter);
+    f("views_rebuilt", views_rebuilt, FieldKind::kCounter);
+    f("views_failed", views_failed, FieldKind::kCounter);
+  }
 };
 
+/// The `stats` frame (StatsJson): the top-level fields, then one section
+/// per nested record.
 struct ServerStats {
   AdmissionStats admission;
   db::MvccStats mvcc;
@@ -81,7 +95,23 @@ struct ServerStats {
   std::uint64_t queue_sheds = 0;
   std::uint64_t drain_rejects = 0;
   bool draining = false;
-  bool wal_enabled = false;
+
+  template <class F>
+  void ForEachField(F&& f) const {
+    using util::FieldKind;
+    f("connections", connections, FieldKind::kCounter);
+    f("requests", requests, FieldKind::kCounter);
+    f("queries", queries, FieldKind::kCounter);
+    f("mutations", mutations, FieldKind::kCounter);
+    f("mutations_deduped", mutations_deduped, FieldKind::kCounter);
+    f("view_registers", view_registers, FieldKind::kCounter);
+    f("view_reads", view_reads, FieldKind::kCounter);
+    f("input_errors", input_errors, FieldKind::kCounter);
+    f("protocol_errors", protocol_errors, FieldKind::kCounter);
+    f("queue_sheds", queue_sheds, FieldKind::kCounter);
+    f("drain_rejects", drain_rejects, FieldKind::kCounter);
+    f("draining", draining, FieldKind::kGauge);
+  }
 };
 
 /// Receives one reply's frames in order. Returns false once a frame cannot

@@ -215,8 +215,7 @@ std::vector<FaultRegistry::PointStats> FaultRegistry::stats() const {
 
 void FaultRegistry::ExportCounters(Counters* sink) const {
   for (const PointStats& p : stats()) {
-    sink->Add("fault." + p.point + ".evals", p.evals);
-    sink->Add("fault." + p.point + ".fires", p.fires);
+    ExportFields(sink, "fault." + p.point + ".", p);
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "util/counters.h"
 #include "util/fault_hook.h"
+#include "util/stats_fields.h"
 
 namespace qc::util {
 
@@ -52,6 +53,13 @@ class FaultRegistry {
     std::string point;
     std::uint64_t evals = 0;  ///< ShouldFail() calls for this point.
     std::uint64_t fires = 0;  ///< Evaluations that returned "fail".
+
+    /// The per-point fields; the point name is the key they nest under.
+    template <class F>
+    void ForEachField(F&& f) const {
+      f("evals", evals, FieldKind::kCounter);
+      f("fires", fires, FieldKind::kCounter);
+    }
   };
 
   FaultRegistry() = default;

@@ -47,15 +47,7 @@ void RunReport::Emit(JsonWriter& w) const {
   w.Key("rows_used").Uint(budget.rows_used);
   w.Key("row_limit").Uint(budget.row_limit);
   w.EndObject();
-  w.Key("cache").BeginObject();
-  w.Key("enabled").Bool(cache.enabled);
-  w.Key("hits").Uint(cache.hits);
-  w.Key("misses").Uint(cache.misses);
-  w.Key("evictions").Uint(cache.evictions);
-  w.Key("bytes").Uint(cache.bytes);
-  w.Key("capacity_bytes").Uint(cache.capacity_bytes);
-  w.Key("entries").Uint(cache.entries);
-  w.EndObject();
+  WriteSection(w, "cache", cache);
   w.Key("stats").BeginObject();
   w.Key("simd_level")
       .String(kernels::SimdLevelName(kernels::ActiveSimdLevel()));
@@ -80,28 +72,10 @@ void RunReport::Emit(JsonWriter& w) const {
     w.Key("snapshot_epoch").Uint(server.snapshot_epoch);
     w.EndObject();
   }
-  if (planner.present) {
-    w.Key("planner").BeginObject();
-    w.Key("pattern").String(planner.pattern);
-    w.Key("threshold").Int(planner.threshold);
-    w.Key("threshold_overridden").Bool(planner.threshold_overridden);
-    w.Key("delegated").Bool(planner.delegated);
-    w.Key("heavy_values").Uint(planner.heavy_values);
-    w.Key("heavy_tuples").Uint(planner.heavy_tuples);
-    w.Key("light_tuples").Uint(planner.light_tuples);
-    w.Key("heavy_rows").Uint(planner.heavy_rows);
-    w.Key("light_rows").Uint(planner.light_rows);
-    w.EndObject();
+  if (planner.pattern != HybridPattern::kNone) {
+    WriteSection(w, "planner", planner);
   }
-  if (ivm.present) {
-    w.Key("ivm").BeginObject();
-    w.Key("views").Uint(ivm.views);
-    w.Key("updates").Uint(ivm.updates);
-    w.Key("dirty_subtree_sweeps").Uint(ivm.dirty_subtree_sweeps);
-    w.Key("rows_delta_applied").Uint(ivm.rows_delta_applied);
-    w.Key("full_recomputes").Uint(ivm.full_recomputes);
-    w.EndObject();
-  }
+  if (ivm) WriteSection(w, "ivm", *ivm);
   w.EndObject();
 }
 

@@ -2,22 +2,24 @@
 #define QC_UTIL_RUN_REPORT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "util/budget.h"
 #include "util/counters.h"
+#include "util/stats_fields.h"
 #include "util/trace.h"
 
 namespace qc::util {
-
-class JsonWriter;
 
 /// Machine-readable record of one run: how it ended, what it spent, and
 /// where the time went. One JSON serializer — Emit(JsonWriter&) — shared by
 /// query_cli and fpt_toolbox (`--report-json <file>`), the experiment
 /// harnesses, and qc_serverd's per-request reports, so every tool in the
 /// repo emits the same schema (checked in CI by
-/// tools/check_report_schema.py).
+/// tools/check_report_schema.py). The "cache", "planner" and "ivm" sections
+/// are the records themselves (util/stats_fields.h), written from their
+/// field lists.
 ///
 /// JSON shape:
 ///   {
@@ -29,7 +31,8 @@ class JsonWriter;
 ///     "budget": { "deadline_armed": false, "work_used": 0, "work_limit": 0,
 ///                 "rows_used": 4, "row_limit": 0 },
 ///     "cache":  { "enabled": false, "hits": 0, "misses": 0, "evictions": 0,
-///                 "bytes": 0, "capacity_bytes": 0, "entries": 0 },
+///                 "bytes": 0, "capacity_bytes": 0, "entries": 0,
+///                 "rejected": 0 },
 ///     "stats":  { "simd_level": "avx512",   // dispatched kernel level
 ///                 "arena_high_water_bytes": 0 },
 ///     "counters": { "generic_join.nodes": 10, ... },  // monotonic keys
@@ -59,19 +62,9 @@ struct RunReport {
   };
   BudgetUsage budget;
 
-  /// Trie-index cache usage (db::IndexCacheStats snapshot, flattened here so
-  /// util/ stays below db/). Always serialized; `enabled = false` with zeros
-  /// means no cache was configured for the run.
-  struct CacheUsage {
-    bool enabled = false;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t capacity_bytes = 0;
-    std::uint64_t entries = 0;
-  };
-  CacheUsage cache;
+  /// Trie-index cache usage. Always serialized; `enabled = false` with
+  /// zeros means no cache was configured for the run.
+  IndexCacheStats cache;
 
   /// Execution-substrate stats, serialized as the "stats" object. The SIMD
   /// level is read at Emit() time straight from kernels::ActiveSimdLevel()
@@ -101,36 +94,15 @@ struct RunReport {
   };
   ServerInfo server;
 
-  /// Incremental-view-maintenance counters when the serving process keeps
-  /// materialized views (db::IvmStats snapshot, flattened here so util/
-  /// stays below db/). Serialized (as an "ivm" object) only when `present`.
-  struct IvmInfo {
-    bool present = false;
-    std::uint64_t views = 0;
-    std::uint64_t updates = 0;
-    std::uint64_t dirty_subtree_sweeps = 0;
-    std::uint64_t rows_delta_applied = 0;
-    std::uint64_t full_recomputes = 0;
-  };
-  IvmInfo ivm;
+  /// Incremental-view-maintenance counters, serialized (as an "ivm"
+  /// object) only when the serving process keeps materialized views.
+  std::optional<IvmStats> ivm;
 
-  /// Degree-split hybrid planner decision record (db::HybridPlan snapshot,
-  /// flattened here so util/ stays below db/). Serialized (as a "planner"
-  /// object) only when `present` — set whenever the planner examined the
-  /// query, including auto-mode rejections where the trie engine ran.
-  struct PlannerInfo {
-    bool present = false;
-    std::string pattern;  ///< "triangle", "4-cycle", "4-clique", "5-clique".
-    std::int64_t threshold = 0;         ///< Resolved degree threshold Δ.
-    bool threshold_overridden = false;  ///< Δ came from the caller, not √N.
-    bool delegated = false;      ///< No heavy values: one pure GenericJoin.
-    std::uint64_t heavy_values = 0;
-    std::uint64_t heavy_tuples = 0;
-    std::uint64_t light_tuples = 0;
-    std::uint64_t heavy_rows = 0;
-    std::uint64_t light_rows = 0;
-  };
-  PlannerInfo planner;
+  /// Degree-split hybrid planner decision record, serialized (as a
+  /// "planner" object) only when the planner examined the query
+  /// (pattern != kNone), including auto-mode declines where the trie
+  /// engine ran.
+  HybridPlan planner;
 
   /// Copies usage and limits out of a run's budget. `deadline_armed` is
   /// inferred from the status or set by the caller via `deadline_armed`.

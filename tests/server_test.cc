@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -584,7 +586,7 @@ TEST_F(WalServerTest, MutationsSurviveRestart) {
     server::QueryServer server(WalOptions());
     std::string error;
     ASSERT_TRUE(server.Recover(&error)) << error;
-    EXPECT_TRUE(server.stats().wal_enabled);
+    EXPECT_TRUE(server.stats().wal.enabled);
     std::vector<api::Frame> r = Mutate(server, kTriangleDataset);
     ASSERT_EQ(r[0].kind, "end");
     EXPECT_EQ(r[0].FindUint("applied", 0), 21u);
@@ -1461,6 +1463,80 @@ std::vector<std::vector<api::Frame>> SplitReplies(
   return replies;
 }
 
+/// Flattens JSON text into (key path, value text) pairs in document order.
+/// Object keys join with '.', array elements append "[i]", and every object
+/// or array also records its own path with "{}" / "[]" so empty sections
+/// keep their place. String values keep their quotes. Covers exactly what
+/// util::JsonWriter emits.
+using JsonPaths = std::vector<std::pair<std::string, std::string>>;
+
+JsonPaths FlattenJson(const std::string& text) {
+  JsonPaths out;
+  std::size_t pos = 0;
+  auto skip_space = [&] {
+    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n')) ++pos;
+  };
+  auto read_string = [&] {
+    const std::size_t start = pos++;
+    while (pos < text.size() && text[pos] != '"') {
+      pos += text[pos] == '\\' ? 2 : 1;
+    }
+    ++pos;
+    return text.substr(start, pos - start);
+  };
+  std::function<void(const std::string&)> value = [&](const std::string& path) {
+    skip_space();
+    if (pos >= text.size()) return;
+    const char open = text[pos];
+    if (open != '{' && open != '[') {
+      const std::size_t start = pos;
+      if (open == '"') {
+        read_string();
+      } else {
+        while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
+               text[pos] != ']') {
+          ++pos;
+        }
+      }
+      out.emplace_back(path, text.substr(start, pos - start));
+      return;
+    }
+    const char close = open == '{' ? '}' : ']';
+    out.emplace_back(path, open == '{' ? "{}" : "[]");
+    ++pos;
+    for (int index = 0;; ++index) {
+      skip_space();
+      if (pos >= text.size() || text[pos] == close) break;
+      if (text[pos] == ',') {
+        ++pos;
+        skip_space();
+      }
+      std::string child;
+      if (open == '{') {
+        const std::string key = read_string();
+        child = (path.empty() ? "" : path + ".") +
+                key.substr(1, key.size() - 2);
+        skip_space();
+        ++pos;  // ':'
+      } else {
+        child = path + "[" + std::to_string(index) + "]";
+      }
+      value(child);
+    }
+    ++pos;
+  };
+  value("");
+  return out;
+}
+
+/// Value text at `path`, or "" when absent.
+std::string JsonAt(const JsonPaths& paths, const std::string& path) {
+  for (const auto& [p, v] : paths) {
+    if (p == path) return v;
+  }
+  return "";
+}
+
 TEST(ServerSocketStreamTest, RepliesAreByteIdenticalToRowWiseEncoding) {
   server::ServerOptions options;
   options.session.index_cache_mb = 4;
@@ -1760,6 +1836,10 @@ TEST(ServerSocketStreamTest, ConcurrentStreamedRepliesAreComplete) {
   ASSERT_TRUE(server.Start(&error)) << error;
   constexpr int kClients = 4;
   std::vector<int> complete(kClients, 0);
+  // Reports whose cache section and index_cache.* counters disagree: both
+  // must come from one IndexCache::stats() snapshot even while other
+  // requests hit the cache in between.
+  std::vector<int> torn_reports(kClients, 0);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -1769,12 +1849,228 @@ TEST(ServerSocketStreamTest, ConcurrentStreamedRepliesAreComplete) {
       for (int i = 0; i < 3; ++i) {
         server::QueryReply r = client.Query(query);
         if (r.ok && r.rows == rows && r.row_text == expected) ++complete[c];
+        const JsonPaths report = FlattenJson(r.report_json);
+        for (const std::string key : {"hits", "misses", "evictions"}) {
+          const std::string section = JsonAt(report, "cache." + key);
+          if (section.empty() ||
+              section != JsonAt(report, "counters.index_cache." + key)) {
+            ++torn_reports[c];
+          }
+        }
       }
     });
   }
   for (std::thread& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c) EXPECT_EQ(complete[c], 3) << c;
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(complete[c], 3) << c;
+    EXPECT_EQ(torn_reports[c], 0) << c;
+  }
   server.Stop();
+}
+
+// --- Pinned JSON surfaces ---------------------------------------------------
+
+/// Drops "cache.rejected" when present (it must read 0 here): the one key
+/// the cache objects may gain without breaking this pin.
+JsonPaths WithoutCacheRejected(JsonPaths paths) {
+  for (auto it = paths.begin(); it != paths.end(); ++it) {
+    if (it->first == "cache.rejected") {
+      EXPECT_EQ(it->second, "0");
+      paths.erase(it);
+      break;
+    }
+  }
+  return paths;
+}
+
+/// Compares key paths in order, and values except where `expected` says
+/// "*" (wall times, and readings that depend on QC_THREADS or QC_SIMD).
+void ExpectPinned(const JsonPaths& actual, const JsonPaths& expected,
+                  const std::string& what) {
+  const std::size_t n = std::max(actual.size(), expected.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string got = i < actual.size()
+                                ? actual[i].first + " = " + actual[i].second
+                                : "<missing>";
+    const std::string want =
+        i < expected.size() ? expected[i].first + " = " + expected[i].second
+                            : "<none>";
+    const bool match = i < actual.size() && i < expected.size() &&
+                       actual[i].first == expected[i].first &&
+                       (expected[i].second == "*" ||
+                        actual[i].second == expected[i].second);
+    EXPECT_TRUE(match) << what << " entry " << i << ": got " << got
+                       << ", want " << want;
+  }
+}
+
+// Pins the key order and every deterministic value of the two JSON surfaces
+// a served run explains itself with — the `stats` frame and a query's
+// report frame — with every optional section present: an index cache, a
+// recovered WAL, a registered view, a fault rule, and a triangle the hybrid
+// planner examines. Key order matters to readers that search for the first
+// key after a section name.
+TEST_F(WalServerTest, StatsFrameAndReportJsonArePinned) {
+  server::QueryServer server(WalOptions());
+  std::string error;
+  ASSERT_TRUE(server.Recover(&error)) << error;
+  // A rule that never fires: the points the run evaluates are counted.
+  ASSERT_TRUE(util::FaultRegistry::Global().Configure("wal.write:once=1000",
+                                                      1, &error))
+      << error;
+  ASSERT_EQ(Mutate(server, kTriangleDataset)[0].kind, "end");
+  ASSERT_EQ(RegisterViewFrame(server, "chain", "join", kChainQuery)[0].kind,
+            "end");
+
+  const std::vector<api::Frame> replies = Query(server, kTriangleQuery);
+  const api::Frame* report = nullptr;
+  for (const api::Frame& f : replies) {
+    if (f.kind == "report") report = &f;
+  }
+  ASSERT_NE(report, nullptr);
+  api::Frame stats_request;
+  stats_request.kind = "stats";
+  stats_request.Add("id", "3");
+  const std::vector<api::Frame> stats_reply =
+      server.HandleRequest(stats_request);
+  ASSERT_EQ(stats_reply.size(), 1u);
+
+  // "*" marks wall times and readings that follow QC_THREADS / QC_SIMD.
+  const JsonPaths kReport = {
+      {"", "{}"},
+      {"tool", "\"qc_serverd\""},
+      {"status", "\"completed\""},
+      {"exit_code", "0"},
+      {"threads", "*"},
+      {"wall_ms", "*"},
+      {"budget", "{}"},
+      {"budget.deadline_armed", "false"},
+      {"budget.work_used", "0"},
+      {"budget.work_limit", "0"},
+      {"budget.rows_used", "0"},
+      {"budget.row_limit", "0"},
+      {"cache", "{}"},
+      {"cache.enabled", "true"},
+      {"cache.hits", "0"},
+      {"cache.misses", "3"},
+      {"cache.evictions", "0"},
+      {"cache.bytes", "1014"},
+      {"cache.capacity_bytes", "4194304"},
+      {"cache.entries", "3"},
+      {"stats", "{}"},
+      {"stats.simd_level", "*"},
+      {"stats.arena_high_water_bytes", "336"},
+      {"counters", "{}"},
+      {"counters.fault.wal.write.evals", "2"},
+      {"counters.fault.wal.write.fires", "0"},
+      {"counters.generic_join.gallops", "0"},
+      {"counters.generic_join.nodes", "13"},
+      {"counters.generic_join.probes", "2"},
+      {"counters.generic_join.simd_blocks", "0"},
+      {"counters.hybrid.heavy_tuples", "3"},
+      {"counters.hybrid.heavy_values", "4"},
+      {"counters.index_cache.evictions", "0"},
+      {"counters.index_cache.hits", "0"},
+      {"counters.index_cache.misses", "3"},
+      {"counters.index_cache.rejected", "0"},
+      {"counters.trie.nodes", "30"},
+      {"gauges", "{}"},
+      {"gauges.arena.high_water_bytes", "336"},
+      {"gauges.index_cache.bytes", "1014"},
+      {"gauges.index_cache.capacity_bytes", "4194304"},
+      {"gauges.index_cache.entries", "3"},
+      {"gauges.simd.level", "*"},
+      {"gauges.threads", "*"},
+      {"spans", "[]"},
+      {"server", "{}"},
+      {"server.request_id", "2"},
+      {"server.queue_ms", "*"},
+      {"server.snapshot_epoch", "1"},
+      {"planner", "{}"},
+      {"planner.pattern", "\"triangle\""},
+      {"planner.threshold", "2"},
+      {"planner.threshold_overridden", "false"},
+      {"planner.delegated", "false"},
+      {"planner.heavy_values", "4"},
+      {"planner.heavy_tuples", "3"},
+      {"planner.light_tuples", "0"},
+      {"planner.heavy_rows", "0"},
+      {"planner.light_rows", "0"},
+      {"ivm", "{}"},
+      {"ivm.views", "1"},
+      {"ivm.updates", "0"},
+      {"ivm.dirty_subtree_sweeps", "0"},
+      {"ivm.rows_delta_applied", "0"},
+      {"ivm.full_recomputes", "1"},
+  };
+  const JsonPaths kStats = {
+      {"", "{}"},
+      {"connections", "0"},
+      {"requests", "4"},
+      {"queries", "1"},
+      {"mutations", "1"},
+      {"mutations_deduped", "0"},
+      {"view_registers", "1"},
+      {"view_reads", "0"},
+      {"input_errors", "0"},
+      {"protocol_errors", "0"},
+      {"queue_sheds", "0"},
+      {"drain_rejects", "0"},
+      {"draining", "false"},
+      {"admission", "{}"},
+      {"admission.admitted", "1"},
+      {"admission.rejected", "0"},
+      {"admission.timed_out", "0"},
+      {"admission.max_queued", "0"},
+      {"admission.running", "0"},
+      {"admission.queued", "0"},
+      {"mvcc", "{}"},
+      {"mvcc.mutations", "1"},
+      {"mvcc.snapshots", "1"},
+      {"mvcc.snapshot_builds", "1"},
+      {"mvcc.wal_rejections", "0"},
+      {"ivm", "{}"},
+      {"ivm.views", "1"},
+      {"ivm.updates", "0"},
+      {"ivm.dirty_subtree_sweeps", "0"},
+      {"ivm.rows_delta_applied", "0"},
+      {"ivm.full_recomputes", "1"},
+      {"wal", "{}"},
+      {"wal.enabled", "true"},
+      {"wal.records_appended", "2"},
+      {"wal.bytes_appended", "209"},
+      {"wal.syncs", "0"},
+      {"wal.compactions", "0"},
+      {"wal.log_bytes", "225"},
+      {"wal.append_failures", "0"},
+      {"wal.recovered", "{}"},
+      {"wal.recovered.ran", "true"},
+      {"wal.recovered.snapshot_records", "0"},
+      {"wal.recovered.log_records", "0"},
+      {"wal.recovered.torn_bytes_truncated", "0"},
+      {"wal.recovered.duplicate_records_skipped", "0"},
+      {"wal.recovered.stale_log_bytes_skipped", "0"},
+      {"wal.recovered.request_ids", "0"},
+      {"wal.recovered.view_defs", "0"},
+      {"wal.recovered.views_rebuilt", "0"},
+      {"wal.recovered.views_failed", "0"},
+      {"cache", "{}"},
+      {"cache.enabled", "true"},
+      {"cache.hits", "0"},
+      {"cache.misses", "3"},
+      {"cache.evictions", "0"},
+      {"cache.bytes", "1014"},
+      {"cache.capacity_bytes", "4194304"},
+      {"cache.entries", "3"},
+      {"faults", "{}"},
+      {"faults.wal.write", "{}"},
+      {"faults.wal.write.evals", "2"},
+      {"faults.wal.write.fires", "0"},
+  };
+  ExpectPinned(WithoutCacheRejected(FlattenJson(report->body)), kReport,
+               "report");
+  ExpectPinned(WithoutCacheRejected(FlattenJson(stats_reply[0].body)), kStats,
+               "stats");
 }
 
 }  // namespace

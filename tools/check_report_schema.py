@@ -1,16 +1,26 @@
 #!/usr/bin/env python3
-"""Validates a --report-json RunReport against the shared schema.
+"""Validates RunReports and qc_serverd stats frames against their schemas.
 
-Usage: check_report_schema.py report.json [report2.json ...]
+Usage: check_report_schema.py file.json [file2.json ...]
 
-The schema is the one documented in src/util/run_report.h and emitted by
-query_cli, fpt_toolbox, the E-harnesses and qc_serverd's per-request
-report frames (which add the optional "server" section). Exits nonzero
-(with a message naming the offending key) on the first violation.
-Stdlib only.
+Each file holds one JSON object of either shape, told apart by its keys:
+
+- a RunReport (has "tool"): the schema documented in
+  src/util/run_report.h, emitted by query_cli, fpt_toolbox, the
+  E-harnesses and qc_serverd's per-request report frames (which add the
+  optional "server" section);
+- a stats frame (has "admission", no "tool"): the body of qc_serverd's
+  `stats` reply, which it also prints as the last stderr line on shutdown
+  (QueryServer::StatsJson). Its "faults" map is required when QC_FAULTS is
+  set in the checker's environment and forbidden otherwise, so run the
+  checker with the server's QC_FAULTS.
+
+Exits nonzero (with a message naming the offending key) on the first
+violation. Stdlib only.
 """
 
 import json
+import os
 import sys
 
 KNOWN_STATUSES = {
@@ -39,6 +49,24 @@ def check_type(path, obj, key, expected):
                    f"expected {expected}")
 
 
+def check_uint(path, obj, key, where):
+    check_type(path, obj, key, int)
+    if isinstance(obj[key], bool) or obj[key] < 0:
+        fail(path, f"{where}.{key} is not a non-negative int")
+
+
+def check_object(path, obj, key, where):
+    """Returns obj[key], which must be an object."""
+    check_type(path, obj, key, dict)
+    return obj[key]
+
+
+def check_exact_keys(path, obj, keys, where):
+    """The object holds exactly `keys`, in this order."""
+    if list(obj) != list(keys):
+        fail(path, f"{where} keys {list(obj)} differ from {list(keys)}")
+
+
 def check_span(path, span, where):
     if not isinstance(span, dict):
         fail(path, f"{where}: span is not an object")
@@ -54,12 +82,92 @@ def check_span(path, span, where):
         check_span(path, child, f"{where}.children[{i}]")
 
 
-def check_report(path):
-    with open(path, encoding="utf-8") as f:
-        report = json.load(f)
-    if not isinstance(report, dict):
-        fail(path, "top level is not an object")
+def check_cache(path, cache):
+    """The "cache" object of both shapes (util::IndexCacheStats)."""
+    check_type(path, cache, "enabled", bool)
+    for key in ("hits", "misses", "evictions", "bytes", "capacity_bytes",
+                "entries", "rejected"):
+        check_type(path, cache, key, int)
+        if cache[key] < 0:
+            fail(path, f"cache.{key} is negative")
+    if not cache["enabled"] and any(
+            cache[k] for k in ("hits", "misses", "bytes", "entries")):
+        fail(path, "cache disabled but reports nonzero usage")
 
+
+STATS_COUNTERS = ("connections", "requests", "queries", "mutations",
+                  "mutations_deduped", "view_registers", "view_reads",
+                  "input_errors", "protocol_errors", "queue_sheds",
+                  "drain_rejects")
+STATS_SECTIONS = {
+    "admission": ("admitted", "rejected", "timed_out", "max_queued",
+                  "running", "queued"),
+    "mvcc": ("mutations", "snapshots", "snapshot_builds", "wal_rejections"),
+    "ivm": ("views", "updates", "dirty_subtree_sweeps", "rows_delta_applied",
+            "full_recomputes"),
+}
+WAL_COUNTERS = ("records_appended", "bytes_appended", "syncs", "compactions",
+                "log_bytes", "append_failures")
+RECOVERED_COUNTERS = ("snapshot_records", "log_records",
+                      "torn_bytes_truncated", "duplicate_records_skipped",
+                      "stale_log_bytes_skipped", "request_ids", "view_defs",
+                      "views_rebuilt", "views_failed")
+
+
+def check_stats_frame(path, stats):
+    """The `stats` frame body (server::QueryServer::StatsJson)."""
+    for key in STATS_COUNTERS:
+        check_uint(path, stats, key, "stats")
+    check_type(path, stats, "draining", bool)
+
+    for section, keys in STATS_SECTIONS.items():
+        obj = check_object(path, stats, section, "stats")
+        for key in keys:
+            check_uint(path, obj, key, section)
+        check_exact_keys(path, obj, keys, section)
+
+    wal = check_object(path, stats, "wal", "stats")
+    check_type(path, wal, "enabled", bool)
+    for key in WAL_COUNTERS:
+        check_uint(path, wal, key, "wal")
+    recovered = check_object(path, wal, "recovered", "wal")
+    check_type(path, recovered, "ran", bool)
+    for key in RECOVERED_COUNTERS:
+        check_uint(path, recovered, key, "wal.recovered")
+    check_exact_keys(path, recovered, ("ran",) + RECOVERED_COUNTERS,
+                     "wal.recovered")
+    if not recovered["ran"] and any(recovered[k] for k in RECOVERED_COUNTERS):
+        fail(path, "wal.recovered did not run but reports replayed records")
+    check_exact_keys(path, wal, ("enabled",) + WAL_COUNTERS + ("recovered",),
+                     "wal")
+
+    check_cache(path, check_object(path, stats, "cache", "stats"))
+
+    faults_enabled = bool(os.environ.get("QC_FAULTS"))
+    if faults_enabled:
+        faults = check_object(path, stats, "faults", "stats")
+        for point, counts in faults.items():
+            if not isinstance(counts, dict):
+                fail(path, f"faults[{point!r}] is not an object")
+            for key in ("evals", "fires"):
+                check_uint(path, counts, key, f"faults[{point!r}]")
+            check_exact_keys(path, counts, ("evals", "fires"),
+                             f"faults[{point!r}]")
+            if counts["fires"] > counts["evals"]:
+                fail(path, f"faults[{point!r}] fires more than it evaluates")
+    elif "faults" in stats:
+        fail(path, "faults map present but QC_FAULTS is not set")
+
+    expected = (STATS_COUNTERS + ("draining",) + tuple(STATS_SECTIONS) +
+                ("wal", "cache") + (("faults",) if faults_enabled else ()))
+    check_exact_keys(path, stats, expected, "stats")
+
+    print(f"{path}: ok (stats frame, {stats['requests']} requests, "
+          f"wal={'on' if wal['enabled'] else 'off'}, "
+          f"cache={'on' if stats['cache']['enabled'] else 'off'})")
+
+
+def check_report(path, report):
     check_type(path, report, "tool", str)
     check_type(path, report, "status", str)
     check_type(path, report, "exit_code", int)
@@ -86,16 +194,7 @@ def check_report(path):
         if budget[key] < 0:
             fail(path, f"budget.{key} is negative")
 
-    cache = report["cache"]
-    check_type(path, cache, "enabled", bool)
-    for key in ("hits", "misses", "evictions", "bytes", "capacity_bytes",
-                "entries"):
-        check_type(path, cache, key, int)
-        if cache[key] < 0:
-            fail(path, f"cache.{key} is negative")
-    if not cache["enabled"] and any(
-            cache[k] for k in ("hits", "misses", "bytes", "entries")):
-        fail(path, "cache disabled but reports nonzero usage")
+    check_cache(path, report["cache"])
 
     # Execution-substrate stats: the kernel SIMD level the run dispatched to
     # and the per-query arena scratch footprint (0 = no arena in use).
@@ -180,12 +279,23 @@ def check_report(path):
           f"{len(report['spans'])} top-level spans){served}")
 
 
+def check_file(path):
+    with open(path, encoding="utf-8") as f:
+        obj = json.load(f)
+    if not isinstance(obj, dict):
+        fail(path, "top level is not an object")
+    if "admission" in obj and "tool" not in obj:
+        check_stats_frame(path, obj)
+    else:
+        check_report(path, obj)
+
+
 def main():
     if len(sys.argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     for path in sys.argv[1:]:
-        check_report(path)
+        check_file(path)
     return 0
 
 
