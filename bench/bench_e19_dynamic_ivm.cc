@@ -72,7 +72,7 @@ void CheckAgainstRecompute(db::MvccDatabase& mvcc, db::ViewRegistry& views,
   db::ViewRead maintained = views.Read(def.name);
   db::ViewRead expected = db::RecomputeView(def, *snap.db, snap.epoch);
   if (!maintained.ok || !expected.ok ||
-      maintained.rows != expected.rows ||
+      *maintained.rows != *expected.rows ||
       maintained.attributes != expected.attributes) {
     std::fprintf(stderr,
                  "FAIL: view '%s' diverged from recompute at epoch %llu\n",
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
     db::ViewRead full = db::RecomputeView(def, *snap.db, snap.epoch);
     const double recount_ms = recount.Millis();
     db::ViewRead maintained = views.Read("tri");
-    if (!full.ok || !maintained.ok || full.rows != maintained.rows) {
+    if (!full.ok || !maintained.ok || *full.rows != *maintained.rows) {
       std::fprintf(stderr, "FAIL: triangle count diverged\n");
       g_correct = false;
     }

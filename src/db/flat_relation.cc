@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <ranges>
 
 #include "kernels/sort.h"
 
@@ -35,6 +37,27 @@ void FlatRelation::Append(const FlatRelation& other) {
   if (other.arity_ != arity_) std::abort();
   data_.insert(data_.end(), other.data_.begin(), other.data_.end());
   size_ += other.size_;
+}
+
+void FlatRelation::MergeSorted(const FlatRelation& fresh) {
+  if (fresh.arity_ != arity_) std::abort();
+  const std::size_t r = static_cast<std::size_t>(arity_);
+  std::size_t end = size_;  // Old rows [0, end) have not moved yet.
+  size_ += fresh.size_;
+  data_.resize(size_ * r);
+  Value* d = data_.data();
+  for (std::size_t j = fresh.size_; j > 0; --j) {
+    // The old rows after fresh row j-1 shift up past it and its successors.
+    const RowView row = fresh.View(j - 1);
+    auto unmoved = std::views::iota(std::size_t{0}, end);
+    const auto pos = static_cast<std::size_t>(
+        std::ranges::upper_bound(unmoved, row, std::less<>{},
+                                 [&](std::size_t i) { return View(i); }) -
+        unmoved.begin());
+    std::copy_backward(d + pos * r, d + end * r, d + (end + j) * r);
+    std::copy_n(row.data, r, d + (pos + j - 1) * r);
+    end = pos;
+  }
 }
 
 void FlatRelation::Truncate(std::size_t rows) {

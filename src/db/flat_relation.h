@@ -79,6 +79,11 @@ class FlatRelation {
   void PushRow(const Tuple& row);
   /// Appends every row of `other`, which must have the same arity.
   void Append(const FlatRelation& other);
+  /// Merges the sorted rows of `fresh` (same arity, none already present)
+  /// into this sorted relation in place, from the back: one binary search
+  /// per fresh row, and only rows that sort after a fresh one move, so
+  /// appending past the end costs O(|fresh| log n).
+  void MergeSorted(const FlatRelation& fresh);
   /// Keeps the first `rows` rows (no-op when size() <= rows).
   void Truncate(std::size_t rows);
   void Reserve(std::size_t rows);
@@ -107,6 +112,10 @@ class FlatRelation {
 
   /// Raw column data, row-major with stride arity().
   const std::vector<Value>& data() const { return data_; }
+
+  friend bool operator==(const FlatRelation& a, const FlatRelation& b) {
+    return a.arity_ == b.arity_ && a.size_ == b.size_ && a.data_ == b.data_;
+  }
 
  private:
   int arity_ = 0;

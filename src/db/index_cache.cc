@@ -9,15 +9,13 @@ namespace qc::db {
 
 namespace {
 
-std::string MakeKey(const std::string& relation, std::uint64_t version,
+std::string MakeKey(const std::string& relation,
                     const std::string& signature) {
   // '\x1f' (unit separator) cannot appear in relation names or signatures,
   // so the concatenation is injective.
   std::string key;
-  key.reserve(relation.size() + signature.size() + 24);
+  key.reserve(relation.size() + signature.size() + 1);
   key += relation;
-  key += '\x1f';
-  key += std::to_string(version);
   key += '\x1f';
   key += signature;
   return key;
@@ -31,11 +29,11 @@ IndexCache::EntryPtr IndexCache::GetOrBuild(
   static const std::uint32_t kHitSpan = util::Trace::InternName("index_cache.hit");
   static const std::uint32_t kMissSpan =
       util::Trace::InternName("index_cache.miss");
-  const std::string key = MakeKey(relation, version, signature);
+  const std::string key = MakeKey(relation, signature);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    if (it != map_.end()) {
+    if (it != map_.end() && it->second.version == version) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       util::ScopedSpan span(kHitSpan);
@@ -59,10 +57,17 @@ IndexCache::EntryPtr IndexCache::GetOrBuild(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    // Lost the build race: keep the resident entry so both callers share
-    // one footprint.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.entry;
+    if (it->second.version == version) {
+      // Lost the build race: keep the resident entry so both callers share
+      // one footprint.
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      return it->second.entry;
+    }
+    // Supersede rule: one resident version per (relation, signature). A
+    // build for an older snapshot serves its caller only; a newer one
+    // evicts the stale entry, which no later snapshot can ask for.
+    if (it->second.version > version) return built;
+    EraseLocked(it);
   }
   if (built->bytes > stats_.capacity_bytes) {
     ++stats_.rejected;
@@ -78,17 +83,21 @@ IndexCache::EntryPtr IndexCache::GetOrBuild(
   EvictToFitLocked(built->bytes);
   lru_.push_front(key);
   stats_.bytes += built->bytes;
-  map_.emplace(key, Slot{built, lru_.begin()});
+  map_.emplace(key, Slot{built, version, lru_.begin()});
   return built;
+}
+
+void IndexCache::EraseLocked(
+    std::unordered_map<std::string, Slot>::iterator victim) {
+  stats_.bytes -= victim->second.entry->bytes;
+  lru_.erase(victim->second.lru_it);
+  map_.erase(victim);
+  ++stats_.evictions;
 }
 
 void IndexCache::EvictToFitLocked(std::size_t incoming) {
   while (!lru_.empty() && stats_.bytes + incoming > stats_.capacity_bytes) {
-    auto victim = map_.find(lru_.back());
-    stats_.bytes -= victim->second.entry->bytes;
-    map_.erase(victim);
-    lru_.pop_back();
-    ++stats_.evictions;
+    EraseLocked(map_.find(lru_.back()));
   }
 }
 

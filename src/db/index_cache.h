@@ -20,10 +20,15 @@ using util::IndexCacheStats;
 /// Shared, thread-safe cache of trie indexes keyed by
 /// (relation name, relation version, projection signature).
 ///
-/// Every Database mutation stamps the relation with a process-unique version
-/// (Database::RelationVersion), so a key can never alias stale data: a
-/// mutated relation simply misses under its new version and the old entries
-/// age out through LRU eviction. The signature
+/// Every Database mutation stamps the relation with a process-unique,
+/// monotone version (Database::RelationVersion), so a key can never alias
+/// stale data: a mutated relation simply misses under its new version.
+/// Supersede rule: at most one version per (relation, signature) is
+/// resident. Inserting a newer version evicts the older entry (counted
+/// under `evictions`), and an entry built for a version older than the
+/// resident one is returned to its caller but not inserted — a cache that
+/// serves snapshots of one evolving database holds one projection per live
+/// key, whatever its byte cap. The signature
 /// (db::AtomProjectionSignature) canonicalizes which columns the index
 /// covers, in which order, and under which repeated-attribute equality
 /// filter — equal keys are guaranteed byte-identical indexes, which is what
@@ -90,8 +95,12 @@ class IndexCache {
  private:
   struct Slot {
     EntryPtr entry;
+    std::uint64_t version = 0;                ///< Relation version built at.
     std::list<std::string>::iterator lru_it;  ///< Position in lru_.
   };
+
+  /// Drops one resident entry, counted as an eviction. Caller holds mu_.
+  void EraseLocked(std::unordered_map<std::string, Slot>::iterator victim);
 
   /// Evicts LRU entries until `incoming` more bytes fit under the cap.
   /// Caller holds mu_.
@@ -103,6 +112,7 @@ class IndexCache {
   IndexCacheStats stats_;
   /// Most-recently-used at the front; values are the map keys.
   std::list<std::string> lru_;
+  /// Keyed by (relation, signature); the slot records the version.
   std::unordered_map<std::string, Slot> map_;
 };
 

@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <ranges>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
+#include "core/context.h"
+#include "db/generic_join.h"
 #include "db/joins.h"
 #include "db/parser.h"
 #include "db/yannakakis.h"
@@ -63,6 +69,14 @@ bool SortedInsert(std::vector<Value>& vec, Value x) {
   return true;
 }
 
+/// The one-row [count] relation a kTriangleCount read returns.
+std::shared_ptr<const FlatRelation> CountRelation(std::uint64_t count) {
+  auto rel = std::make_shared<FlatRelation>(1);
+  const Value value = static_cast<Value>(count);
+  rel->PushRow(&value);
+  return rel;
+}
+
 std::string TrimCopy(const std::string& text) {
   std::size_t b = text.find_first_not_of(" \t\r\n");
   if (b == std::string::npos) return "";
@@ -85,50 +99,20 @@ struct ViewState {
 
   // ---- kJoin ----
 
-  /// Canonical schema (query AttributeOrder) and the normalized result:
-  /// lex-sorted, duplicate-free rows over it.
+  /// Canonical schema (query AttributeOrder) and the published result:
+  /// lex-sorted, duplicate-free rows over it. Copy-on-write: Read() hands
+  /// out this pointer as const, and a commit extends the relation in place
+  /// only while no reader holds it, else it publishes an extended copy.
   std::vector<std::string> attributes;
-  std::vector<Tuple> rows;
+  std::shared_ptr<FlatRelation> rows;
 
-  /// Per-atom access shape: distinct attributes, the source column of
-  /// each, the repeated-attribute equality filter, and each attribute's
-  /// canonical index.
-  struct Shape {
-    std::vector<std::string> attrs;
-    std::vector<int> src_col;
-    std::vector<std::pair<int, int>> eq_checks;
-    std::vector<int> canon;
-  };
-  std::vector<Shape> shapes;
-
-  /// One probe of the delta expansion: look up `atom`'s sorted projection
-  /// (columns in proj_attrs order, the first key_len of which are the
-  /// already-bound join key) and bind every projection column into the
-  /// partial tuple.
-  struct Step {
-    int atom = 0;
-    int key_len = 0;
-    std::vector<int> key_from;  ///< Canonical index per key column.
-    std::vector<int> bind_to;   ///< Canonical index per projection column.
-    std::vector<std::string> proj_attrs;
-    std::string cache_key;
-  };
-  /// plans[d] = the sweep executed when atom d is dirty: a breadth-first
-  /// walk of the join tree rooted at d (so only subtrees reachable from
-  /// the dirty atom are touched), with any disconnected components
-  /// appended last (their key is empty — a cross product, as the query
-  /// semantics demand).
-  std::vector<std::vector<Step>> plans;
-
-  /// Sorted projections reused across commits, keyed by the source
-  /// relation's version stamp — a clean relation's projection survives any
-  /// number of commits that do not touch it.
-  struct ProjEntry {
-    bool valid = false;
-    std::uint64_t version = 0;
-    FlatRelation proj;
-  };
-  std::map<std::string, ProjEntry> proj_cache;
+  /// Per atom: its repeated-attribute filter, the attribute order of the
+  /// delta join run when the atom is dirty (its own attributes first, then
+  /// the join tree breadth-first), and that order's column per canonical
+  /// attribute.
+  std::vector<AtomColumns> columns;
+  std::vector<std::vector<std::string>> delta_orders;
+  std::vector<std::vector<int>> to_canonical;
 
   // ---- kTriangleCount ----
 
@@ -145,182 +129,85 @@ namespace {
 
 using View = ivm_internal::ViewState;
 
-bool PassesEqChecks(const FlatRelation& flat, std::size_t row,
-                    const std::vector<std::pair<int, int>>& eq_checks) {
-  for (const auto& [i, j] : eq_checks) {
-    if (flat.At(row, i) != flat.At(row, j)) return false;
-  }
-  return true;
-}
-
-/// Rows of `rel` (sorted lexicographically) whose first key_from.size()
-/// columns equal partial[key_from[i]]. Empty key = the whole relation.
-std::pair<std::size_t, std::size_t> PrefixEqualRange(
-    const FlatRelation& rel, const Tuple& partial,
-    const std::vector<int>& key_from) {
-  const std::size_t n = rel.size();
-  const int k = static_cast<int>(key_from.size());
-  if (k == 0) return {0, n};
-  auto row_less_key = [&](std::size_t row) {
-    for (int c = 0; c < k; ++c) {
-      Value rv = rel.At(row, c);
-      Value kv = partial[key_from[c]];
-      if (rv != kv) return rv < kv;
-    }
-    return false;
-  };
-  auto key_less_row = [&](std::size_t row) {
-    for (int c = 0; c < k; ++c) {
-      Value rv = rel.At(row, c);
-      Value kv = partial[key_from[c]];
-      if (rv != kv) return kv < rv;
-    }
-    return false;
-  };
-  std::size_t lo = 0, hi = n;
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (row_less_key(mid)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  std::size_t first = lo;
-  hi = n;
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (key_less_row(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return {first, lo};
-}
-
-/// Builds shapes, the join tree, and the per-dirty-atom sweep plans.
+/// Fills the per-atom delta plans. The breadth-first walk from the dirty
+/// atom binds the delta's attributes first, so every level of the delta
+/// join is a lookup keyed by rows already bound; attribute-disjoint
+/// components (cross products) follow, each walked from its first atom.
 /// Caller guarantees the query is acyclic (Validate ran).
-void BuildJoinPlans(View& v) {
+void BuildDeltaPlans(View& v) {
   const JoinQuery& query = v.def.query;
   const std::size_t m = query.atoms.size();
   v.attributes = query.AttributeOrder();
-  std::map<std::string, int> canon = query.AttributeIndex();
-
-  v.shapes.clear();
-  v.shapes.resize(m);
-  for (std::size_t a = 0; a < m; ++a) {
-    const Atom& atom = query.atoms[a];
-    View::Shape& sh = v.shapes[a];
-    sh.attrs = AtomAttributes(atom);
-    std::map<std::string, int> first_col;
-    for (std::size_t c = 0; c < atom.attributes.size(); ++c) {
-      auto [it, inserted] =
-          first_col.emplace(atom.attributes[c], static_cast<int>(c));
-      if (!inserted) {
-        sh.eq_checks.emplace_back(it->second, static_cast<int>(c));
-      }
-    }
-    for (const std::string& attr : sh.attrs) {
-      sh.src_col.push_back(first_col.at(attr));
-      sh.canon.push_back(canon.at(attr));
-    }
-  }
-
-  std::vector<int> parent;
-  std::vector<int> order;
+  std::vector<int> parent, order;
   BuildJoinTree(query, &parent, &order);
   std::vector<std::vector<int>> adj(m);
   for (std::size_t a = 0; a < m; ++a) {
+    v.columns.push_back(AnalyzeAtomColumns(query.atoms[a]));
     if (parent[a] >= 0) {
       adj[a].push_back(parent[a]);
       adj[parent[a]].push_back(static_cast<int>(a));
     }
   }
-
-  v.plans.assign(m, {});
   for (std::size_t d = 0; d < m; ++d) {
+    std::vector<std::string> attrs;
     std::vector<char> used(m, 0);
-    std::vector<char> bound(v.attributes.size(), 0);
-    used[d] = 1;
-    for (int ci : v.shapes[d].canon) bound[ci] = 1;
-
-    auto push_step = [&](int a) {
-      const View::Shape& sh = v.shapes[a];
-      View::Step step;
-      step.atom = a;
-      std::vector<std::string> key_attrs, rest_attrs;
-      for (std::size_t k = 0; k < sh.attrs.size(); ++k) {
-        if (bound[sh.canon[k]]) {
-          key_attrs.push_back(sh.attrs[k]);
-          step.key_from.push_back(sh.canon[k]);
-        } else {
-          rest_attrs.push_back(sh.attrs[k]);
+    auto visit = [&](int a) {
+      used[a] = 1;
+      for (const std::string& attr : v.columns[a].attributes) {
+        if (std::find(attrs.begin(), attrs.end(), attr) == attrs.end()) {
+          attrs.push_back(attr);
         }
       }
-      step.key_len = static_cast<int>(key_attrs.size());
-      step.proj_attrs = key_attrs;
-      step.proj_attrs.insert(step.proj_attrs.end(), rest_attrs.begin(),
-                             rest_attrs.end());
-      for (const std::string& attr : step.proj_attrs) {
-        step.bind_to.push_back(canon.at(attr));
-      }
-      step.cache_key = std::to_string(a) + "|" +
-                       AtomProjectionSignature(v.def.query.atoms[a],
-                                               step.proj_attrs);
-      for (int ci : sh.canon) bound[ci] = 1;
-      used[a] = 1;
-      v.plans[d].push_back(std::move(step));
     };
-
-    std::deque<int> queue{static_cast<int>(d)};
-    while (!queue.empty()) {
-      int cur = queue.front();
-      queue.pop_front();
-      for (int nb : adj[cur]) {
-        if (used[nb]) continue;
-        push_step(nb);
-        queue.push_back(nb);
+    std::vector<int> starts{static_cast<int>(d)};
+    for (std::size_t a = 0; a < m; ++a) starts.push_back(static_cast<int>(a));
+    for (int start : starts) {
+      if (used[start]) continue;
+      visit(start);
+      std::deque<int> queue{start};
+      while (!queue.empty()) {
+        int cur = queue.front();
+        queue.pop_front();
+        for (int nb : adj[cur]) {
+          if (used[nb]) continue;
+          visit(nb);
+          queue.push_back(nb);
+        }
       }
     }
-    // Atoms in other connected components (attribute-disjoint by
-    // construction of the join forest): cross products, appended last.
-    for (std::size_t a = 0; a < m; ++a) {
-      if (!used[a]) push_step(static_cast<int>(a));
+    std::vector<int> src;
+    for (const std::string& attr : v.attributes) {
+      src.push_back(static_cast<int>(
+          std::find(attrs.begin(), attrs.end(), attr) - attrs.begin()));
     }
+    v.delta_orders.push_back(std::move(attrs));
+    v.to_canonical.push_back(std::move(src));
   }
 }
 
-const FlatRelation& GetProjection(View& v, const View::Step& step,
-                                  const Database& db) {
-  const Atom& atom = v.def.query.atoms[step.atom];
-  View::ProjEntry& entry = v.proj_cache[step.cache_key];
-  std::uint64_t version = db.RelationVersion(atom.relation);
-  if (!entry.valid || entry.version != version) {
-    entry.proj = MaterializeSortedProjection(atom, db, step.proj_attrs);
-    entry.version = version;
-    entry.valid = true;
+/// The view's rows for writing: in place when the registry holds the only
+/// reference, else a private copy that replaces the published one. Readers
+/// copy the pointer only under the registry lock, which the caller holds,
+/// so no new reference can appear. Taking one more reference is an
+/// acquire-release step on the shared count, which orders the write after
+/// the reads of every reader that has let go.
+FlatRelation& MutableRows(View& v) {
+  if (v.rows.use_count() == 1) {
+    std::shared_ptr<FlatRelation> sync = v.rows;
+  } else {
+    v.rows = std::make_shared<FlatRelation>(*v.rows);
   }
-  return entry.proj;
+  return *v.rows;
 }
 
-void ExpandSteps(View& v, const Database& db,
-                 const std::vector<View::Step>& plan, std::size_t si,
-                 Tuple& partial, std::vector<Tuple>& out) {
-  if (si == plan.size()) {
-    out.push_back(partial);
-    return;
-  }
-  const View::Step& step = plan[si];
-  const FlatRelation& proj = GetProjection(v, step, db);
-  auto [lo, hi] = PrefixEqualRange(proj, partial, step.key_from);
-  const int arity = proj.arity();
-  for (std::size_t r = lo; r < hi; ++r) {
-    for (int c = 0; c < arity; ++c) {
-      partial[step.bind_to[c]] = proj.At(r, c);
-    }
-    ExpandSteps(v, db, plan, si + 1, partial, out);
-  }
+/// The normalized answer of a kJoin view (Yannakakis, then lex-sorted).
+std::optional<FlatRelation> EvaluateSorted(const JoinQuery& query,
+                                           const Database& db) {
+  std::optional<FlatJoinResult> result =
+      EvaluateYannakakisFlat(query, db, ExecutionContext());
+  if (!result.has_value()) return std::nullopt;
+  result->rows.SortLexAndDedup();
+  return std::move(result->rows);
 }
 
 /// Directed edge u->w becomes present (caller already dropped duplicates
@@ -454,7 +341,7 @@ MutationResult ViewRegistry::Register(const ViewDefinition& def,
     for (const Atom& atom : def.query.atoms) {
       view->relations.insert(atom.relation);
     }
-    BuildJoinPlans(*view);
+    BuildDeltaPlans(*view);
   } else {
     view->relations.insert(def.relation);
   }
@@ -489,7 +376,7 @@ ViewRead ViewRegistry::Read(const std::string& name) const {
     out.rows = v.rows;
   } else {
     out.attributes = {"count"};
-    out.rows = {{static_cast<Value>(v.count)}};
+    out.rows = CountRelation(v.count);
   }
   return out;
 }
@@ -584,47 +471,56 @@ void ViewRegistry::MaintainLocked(ivm_internal::ViewState& view,
   // Delta rule: dQ = union over dirty atoms d of Q[d -> delta_d], all
   // other atoms at their post-commit state. Sound under insert-only set
   // semantics (a new result row uses a new tuple in at least one atom);
-  // the union's overcount is removed by dedup against the stored rows.
+  // the union's overcount is dropped before the merge into the stored rows.
   std::map<std::string, const RelationDelta*> by_relation;
   for (const RelationDelta& delta : deltas) by_relation[delta.relation] = &delta;
-  std::vector<Tuple> candidates;
-  Tuple partial(view.attributes.size(), 0);
-  for (std::size_t a = 0; a < view.def.query.atoms.size(); ++a) {
-    const Atom& atom = view.def.query.atoms[a];
-    auto it = by_relation.find(atom.relation);
+  const JoinQuery& query = view.def.query;
+  FlatRelation candidates(static_cast<int>(view.attributes.size()));
+  for (std::size_t a = 0; a < query.atoms.size(); ++a) {
+    auto it = by_relation.find(query.atoms[a].relation);
     if (it == by_relation.end()) continue;
-    const RelationDelta& delta = *it->second;
-    const FlatRelation& flat = db.Flat(atom.relation);
-    std::size_t from = std::min(delta.old_size, flat.size());
+    const FlatRelation& flat = db.Flat(it->first);
+    std::size_t from = std::min(it->second->old_size, flat.size());
     if (from >= flat.size()) continue;
     ++stats_.dirty_subtree_sweeps;
-    const View::Shape& sh = view.shapes[a];
+    const AtomColumns& cols = view.columns[a];
+    AtomRows delta{cols.attributes,
+                   FlatRelation(static_cast<int>(cols.keep_cols.size()))};
+    Tuple kept(cols.keep_cols.size());
     for (std::size_t r = from; r < flat.size(); ++r) {
-      if (!PassesEqChecks(flat, r, sh.eq_checks)) continue;
-      for (std::size_t k = 0; k < sh.canon.size(); ++k) {
-        partial[sh.canon[k]] = flat.At(r, sh.src_col[k]);
+      const Value* row = flat.Row(r);
+      if (!RowPassesEquality(row, cols)) continue;
+      for (std::size_t k = 0; k < kept.size(); ++k) {
+        kept[k] = row[cols.keep_cols[k]];
       }
-      ExpandSteps(view, db, view.plans[a], 0, partial, candidates);
+      delta.rows.PushRow(kept.data());
     }
+    if (delta.rows.empty()) continue;
+    std::vector<std::optional<AtomRows>> direct(query.atoms.size());
+    direct[a] = std::move(delta);
+    ExecutionContext ctx;
+    ctx.threads = 1;
+    ctx.index_cache = &cache_;
+    GenericJoin join(query, db, view.delta_orders[a], ctx, std::move(direct));
+    FlatJoinResult part = join.EvaluateFlat();
+    part.rows.PermuteColumns(view.to_canonical[a]);
+    candidates.Append(part.rows);
   }
-  if (candidates.empty()) return;
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::vector<Tuple> fresh;
-  fresh.reserve(candidates.size());
-  for (Tuple& t : candidates) {
-    if (!std::binary_search(view.rows.begin(), view.rows.end(), t)) {
-      fresh.push_back(std::move(t));
+  candidates.SortLexAndDedup();
+  FlatRelation fresh(candidates.arity());
+  auto positions = std::views::iota(std::size_t{0}, view.rows->size());
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const RowView row = candidates.View(c);
+    auto it = std::ranges::lower_bound(
+        positions, row, std::less<>{},
+        [&](std::size_t i) { return view.rows->View(i); });
+    if (it == positions.end() || view.rows->View(*it) != row) {
+      fresh.PushRow(row.data);
     }
   }
   if (fresh.empty()) return;
   stats_.rows_delta_applied += fresh.size();
-  std::size_t mid = view.rows.size();
-  view.rows.insert(view.rows.end(), std::make_move_iterator(fresh.begin()),
-                   std::make_move_iterator(fresh.end()));
-  std::inplace_merge(view.rows.begin(), view.rows.begin() + mid,
-                     view.rows.end());
+  MutableRows(view).MergeSorted(fresh);
 }
 
 MutationResult ViewRegistry::RecomputeLocked(ivm_internal::ViewState& view,
@@ -640,14 +536,12 @@ MutationResult ViewRegistry::RecomputeLocked(ivm_internal::ViewState& view,
     }
     return MutationResult::Ok();
   }
-  std::optional<JoinResult> result = EvaluateYannakakis(view.def.query, db);
-  if (!result.has_value()) {
+  std::optional<FlatRelation> rows = EvaluateSorted(view.def.query, db);
+  if (!rows.has_value()) {
     return MutationResult::Fail("view '" + view.def.name +
                                 "': query is not acyclic");
   }
-  result->Normalize();
-  view.attributes = std::move(result->attributes);
-  view.rows = std::move(result->tuples);
+  view.rows = std::make_shared<FlatRelation>(std::move(*rows));
   return MutationResult::Ok();
 }
 
@@ -702,15 +596,14 @@ ViewRead RecomputeView(const ViewDefinition& def, const Database& db,
   out.kind = def.kind;
   out.epoch = epoch;
   if (def.kind == ViewDefinition::Kind::kJoin) {
-    std::optional<JoinResult> result = EvaluateYannakakis(def.query, db);
-    if (!result.has_value()) {
+    std::optional<FlatRelation> rows = EvaluateSorted(def.query, db);
+    if (!rows.has_value()) {
       out.error = "view '" + def.name + "': query is not acyclic";
       return out;
     }
-    result->Normalize();
     out.ok = true;
-    out.attributes = std::move(result->attributes);
-    out.rows = std::move(result->tuples);
+    out.attributes = def.query.AttributeOrder();
+    out.rows = std::make_shared<const FlatRelation>(std::move(*rows));
     return out;
   }
   // Independent static count (different code path from the incremental
@@ -736,7 +629,7 @@ ViewRead RecomputeView(const ViewDefinition& def, const Database& db,
   }
   out.ok = true;
   out.attributes = {"count"};
-  out.rows = {{static_cast<Value>(total)}};
+  out.rows = CountRelation(total);
   return out;
 }
 

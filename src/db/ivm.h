@@ -2,6 +2,7 @@
 #define QC_DB_IVM_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "db/index_cache.h"
 #include "db/wal.h"
 #include "util/stats_fields.h"
 
@@ -20,8 +22,8 @@ struct ViewState;  // One view's maintained state (defined in ivm.cc).
 
 /// What a materialized view computes. Two families (Section 6 / ROADMAP
 /// item 1 — the dynamic side of the lower-bound story):
-///   kJoin          — a full acyclic join query, maintained by delta-rule
-///                    sweeps over the Yannakakis join tree;
+///   kJoin          — a full acyclic join query, maintained by one delta
+///                    GenericJoin per dirty atom;
 ///   kTriangleCount — |{(a,b,c) : E(a,b), E(b,c), E(a,c)}| over one binary
 ///                    relation, maintained by per-edge delta counting
 ///                    (the OMv-hard query of Section 6.2).
@@ -55,7 +57,7 @@ struct RelationDelta {
 
 using util::IvmStats;
 
-/// A consistent copy of one view's maintained state.
+/// One view's maintained state as of one epoch.
 struct ViewRead {
   bool ok = false;
   std::string error;  ///< Meaningful only when !ok.
@@ -66,9 +68,12 @@ struct ViewRead {
   std::vector<std::string> attributes;
   /// kJoin: the normalized result (lex-sorted, duplicate-free) over the
   /// query's canonical AttributeOrder — bit-identical to
-  /// ExecuteQuery-then-Normalize on a snapshot at `epoch`.
+  /// ExecuteQuery-then-Normalize on a snapshot at `epoch`. This is the
+  /// registry's own state, shared rather than copied, and it never changes
+  /// while held: a later commit that finds it held publishes a new one.
   /// kTriangleCount: one row [count] with attribute "count".
-  std::vector<Tuple> rows;
+  /// Null when !ok.
+  std::shared_ptr<const FlatRelation> rows;
 };
 
 /// Registry of materialized views maintained incrementally under
@@ -81,18 +86,27 @@ struct ViewRead {
 ///   dQ = U_{dirty atom d}  Q[d -> delta_d]   (all other atoms at their
 ///                                             post-commit state)
 ///
-/// walking the Yannakakis join tree breadth-first from each dirty atom —
-/// only subtrees reachable from a dirty atom are swept, and the sweep
-/// probes sorted per-atom projections that are cached and reused across
-/// commits keyed by the relation version stamps (a clean relation's
-/// projection is never rebuilt). Insert-only set semantics make the rule
-/// sound: every new result tuple uses at least one new tuple in some atom,
-/// and the union's overcount is removed by dedup against stored rows.
-/// Replace-style mutations fall back to a full recompute.
+/// as one single-threaded GenericJoin per dirty atom d: d's appended rows
+/// enter as AtomRows, every other atom's trie comes from the registry's
+/// IndexCache, and the attribute order binds d's attributes first and then
+/// follows the join tree breadth-first, so the join only descends from the
+/// delta. The cache is keyed by relation version and holds no byte cap:
+/// its supersede rule keeps one trie per live (relation, projection), so a
+/// clean relation's trie is never rebuilt and a dirty one's is replaced.
+/// Insert-only set semantics make the rule sound: every new result tuple
+/// uses at least one new tuple in some atom, and the union's overcount is
+/// removed by dropping the rows already stored before the rest are merged
+/// in. Replace-style mutations fall back to a full recompute
+/// (EvaluateYannakakisFlat).
+///
+/// A kJoin view's state is one FlatRelation that Read() shares as
+/// shared_ptr<const>. Copy-on-write keeps what a reader holds fixed: a
+/// commit extends the relation in place only while no reader holds it,
+/// and otherwise publishes an extended copy.
 ///
 /// Threading: all methods take one internal mutex. OnCommit runs inside
-/// the MvccDatabase writer lock; Read() only takes the registry lock, so
-/// readers never block writers for longer than one state copy.
+/// the MvccDatabase writer lock; Read() copies the state pointer under the
+/// registry lock, so readers never block writers for longer than that.
 class ViewRegistry {
  public:
   ViewRegistry();
@@ -140,6 +154,8 @@ class ViewRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<ivm_internal::ViewState>> views_;
   IvmStats stats_;
+  /// Tries of the clean atoms the delta joins read, shared by every view.
+  IndexCache cache_{std::numeric_limits<std::size_t>::max()};
 };
 
 /// def -> durable kViewDef record (see db/wal.h).
@@ -152,7 +168,7 @@ MutationResult ViewDefinitionFromRecord(const WalRecord& record,
 
 /// Definitional recompute from a snapshot — what the maintained state must
 /// stay bit-identical to. Used by tests and bench_e19 as the naive
-/// baseline; Read().rows == RecomputeView(...).rows at every epoch is the
+/// baseline; *Read().rows == *RecomputeView(...).rows at every epoch is the
 /// correctness contract.
 ViewRead RecomputeView(const ViewDefinition& def, const Database& db,
                        std::uint64_t epoch);

@@ -562,7 +562,7 @@ api::Frame QueryServer::HandleViewRegister(const api::Frame& request) {
   end.Add("id", std::to_string(id));
   end.Add("code", "0");
   end.Add("name", *name);
-  end.Add("rows", std::to_string(state.rows.size()));
+  end.Add("rows", std::to_string(state.ok ? state.rows->size() : 0));
   end.Add("epoch", std::to_string(state.epoch));
   return end;
 }
@@ -605,10 +605,8 @@ void QueryServer::HandleViewRead(const api::Frame& request,
                        .count();
 
   RowReply(id, util::RunStatus::kCompleted, "ivm", /*truncated=*/false,
-           state.epoch, state.attributes,
-           db::FlatRelation::FromRows(
-               static_cast<int>(state.attributes.size()), state.rows),
-           /*analysis=*/"", report, sink);
+           state.epoch, state.attributes, *state.rows, /*analysis=*/"", report,
+           sink);
 }
 
 api::Frame QueryServer::HandleMutate(const api::Frame& request) {

@@ -78,9 +78,10 @@ class FaultRegistry {
   /// True when this registry holds at least one rule.
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
-  /// Evaluates the named point: true = the caller must fail now. Points
-  /// with no rule count an evaluation only if some rule exists at all
-  /// (idle registries are never consulted thanks to FaultsEnabled()).
+  /// Evaluates the named point: true = the caller must fail now. Only
+  /// points with a rule of their own are evaluated and counted; any other
+  /// point returns false without touching stats (idle registries are never
+  /// consulted thanks to FaultsEnabled()).
   bool ShouldFail(std::string_view point);
 
   /// Per-point evaluation/fire counts, sorted by point name.

@@ -1,8 +1,9 @@
 // Tests for the shared trie-index cache (db::IndexCache) and its threading
 // through GenericJoin, Yannakakis and the acyclic enumerator: LRU /
-// byte-accounting semantics, bit-identical warm-vs-cold evaluation at 1/2/8
-// threads, eviction-pressure degradation, version-keyed invalidation on
-// mutation, and safe sharing across concurrent evaluations.
+// byte-accounting semantics, the one-version-per-key supersede rule,
+// bit-identical warm-vs-cold evaluation at 1/2/8 threads, eviction-pressure
+// degradation, version-keyed invalidation on mutation, and safe sharing
+// across concurrent evaluations.
 
 #include <gtest/gtest.h>
 
@@ -114,6 +115,43 @@ TEST(IndexCacheTest, ClearDropsEntriesKeepsCountersAndHandouts) {
   EXPECT_EQ(held->bytes, 100u);     // In-flight handout stays valid.
   cache.GetOrBuild("A", 1, "s", FixedSizeBuilder(100, &builds));
   EXPECT_EQ(builds, 2);
+}
+
+TEST(IndexCacheTest, NewerVersionSupersedesOlderOfSameKey) {
+  IndexCache cache(1 << 20);
+  int builds = 0;
+  IndexCache::EntryPtr held =
+      cache.GetOrBuild("A", 1, "s", FixedSizeBuilder(100, &builds));
+  cache.GetOrBuild("A", 1, "other", FixedSizeBuilder(30, &builds));
+  cache.GetOrBuild("B", 1, "s", FixedSizeBuilder(40, &builds));
+
+  // v2 of (A, s) replaces v1; (A, other) and (B, s) are untouched.
+  cache.GetOrBuild("A", 2, "s", FixedSizeBuilder(70, &builds));
+  IndexCacheStats s = cache.stats();
+  EXPECT_EQ(s.entries, 3u);
+  EXPECT_EQ(s.bytes, 140u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(held->bytes, 100u);  // The superseded handout stays valid.
+  cache.GetOrBuild("A", 1, "other", FixedSizeBuilder(30, &builds));
+  cache.GetOrBuild("B", 1, "s", FixedSizeBuilder(40, &builds));
+  cache.GetOrBuild("A", 2, "s", FixedSizeBuilder(70, &builds));
+  EXPECT_EQ(builds, 4);
+  EXPECT_EQ(cache.stats().hits, 3u);
+
+  // A v1 build requested after v2 is resident serves its caller but is not
+  // kept: v2 stays, and asking for v1 again builds again.
+  IndexCache::EntryPtr old =
+      cache.GetOrBuild("A", 1, "s", FixedSizeBuilder(100, &builds));
+  EXPECT_EQ(old->bytes, 100u);
+  EXPECT_EQ(builds, 5);
+  s = cache.stats();
+  EXPECT_EQ(s.entries, 3u);
+  EXPECT_EQ(s.bytes, 140u);
+  EXPECT_EQ(s.evictions, 1u);
+  cache.GetOrBuild("A", 1, "s", FixedSizeBuilder(100, &builds));
+  EXPECT_EQ(builds, 6);
+  cache.GetOrBuild("A", 2, "s", FixedSizeBuilder(70, &builds));
+  EXPECT_EQ(builds, 6);
 }
 
 TEST(IndexCacheTest, ExportCountersKindSplit) {

@@ -1954,7 +1954,7 @@ TEST_F(WalServerTest, StatsFrameAndReportJsonArePinned) {
       {"cache.hits", "0"},
       {"cache.misses", "3"},
       {"cache.evictions", "0"},
-      {"cache.bytes", "1014"},
+      {"cache.bytes", "1026"},
       {"cache.capacity_bytes", "4194304"},
       {"cache.entries", "3"},
       {"stats", "{}"},
@@ -1976,7 +1976,7 @@ TEST_F(WalServerTest, StatsFrameAndReportJsonArePinned) {
       {"counters.trie.nodes", "30"},
       {"gauges", "{}"},
       {"gauges.arena.high_water_bytes", "336"},
-      {"gauges.index_cache.bytes", "1014"},
+      {"gauges.index_cache.bytes", "1026"},
       {"gauges.index_cache.capacity_bytes", "4194304"},
       {"gauges.index_cache.entries", "3"},
       {"gauges.simd.level", "*"},
@@ -2059,7 +2059,7 @@ TEST_F(WalServerTest, StatsFrameAndReportJsonArePinned) {
       {"cache.hits", "0"},
       {"cache.misses", "3"},
       {"cache.evictions", "0"},
-      {"cache.bytes", "1014"},
+      {"cache.bytes", "1026"},
       {"cache.capacity_bytes", "4194304"},
       {"cache.entries", "3"},
       {"faults", "{}"},

@@ -31,12 +31,16 @@ cleanup() {
   for pid in "${PIDS[@]:-}"; do
     kill -9 "$pid" 2>/dev/null || true
   done
+  wait 2>/dev/null || true  # Reap the servers: none may outlive the script.
   rm -rf "$WORK"
 }
 trap cleanup EXIT
 
 # start_server NAME [extra args...] — writes stdout to $WORK/NAME.out,
-# records the pid in $WORK/NAME.pid, echoes the resolved port.
+# records the pid in $WORK/NAME.pid and the resolved port in
+# $WORK/NAME.port. Call it directly, not inside $(...): the server must be a
+# child of this shell and its pid must reach PIDS, or the EXIT trap can
+# neither kill nor reap it.
 start_server() {
   local name=$1
   shift
@@ -53,11 +57,20 @@ start_server() {
     fi
     sleep 0.1
   done
-  grep "listening on" "$WORK/$name.out" | sed 's/.*://'
+  grep "listening on" "$WORK/$name.out" | sed 's/.*://' > "$WORK/$name.port"
+}
+
+# kill_server NAME — kill -9, then reap, so the shell reports nothing.
+kill_server() {
+  local pid
+  pid=$(cat "$WORK/$1.pid")
+  kill -9 "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
 }
 
 echo "== phase 1: stream mutations, kill -9 mid-stream"
-PORT=$(start_server victim --wal-dir "$WORK/wal" --fsync always)
+start_server victim --wal-dir "$WORK/wal" --fsync always
+PORT=$(cat "$WORK/victim.port")
 "$LOADGEN" --port "$PORT" --write-relation stream \
   --stream-mutations "$STREAM_COUNT" \
   > "$WORK/stream.out" 2> "$WORK/stream.err" &
@@ -65,7 +78,7 @@ LOADGEN_PID=$!
 # Let some mutations land, then pull the plug — no shutdown frame, no
 # SIGTERM, nothing graceful.
 sleep 0.5
-kill -9 "$(cat "$WORK/victim.pid")" 2>/dev/null || true
+kill_server victim
 wait "$LOADGEN_PID" || true  # Transport error at the kill point is expected.
 ACKED=$(sed -n 's/.*stream_acked=\([0-9]*\).*/\1/p' "$WORK/stream.out")
 if [ -z "$ACKED" ]; then
@@ -80,7 +93,8 @@ if [ "$ACKED" -eq 0 ]; then
 fi
 
 echo "== phase 2: restart on the same --wal-dir and verify the prefix"
-PORT=$(start_server reborn --wal-dir "$WORK/wal" --fsync always)
+start_server reborn --wal-dir "$WORK/wal" --fsync always
+PORT=$(cat "$WORK/reborn.port")
 grep "recovered" "$WORK/reborn.out" || true
 "$LOADGEN" --port "$PORT" --verify-prefix stream --expect-at-least "$ACKED" \
   > "$WORK/verify.out"
@@ -89,7 +103,8 @@ ROWS=$(sed -n 's/.*verify_rows=\([0-9]*\).*/\1/p' "$WORK/verify.out")
 "$LOADGEN" --port "$PORT" --dump-rows stream > "$WORK/recovered.rows"
 
 echo "== phase 3: diff against a never-crashed oracle ($ROWS mutations)"
-ORACLE_PORT=$(start_server oracle --wal-dir "$WORK/oracle-wal" --fsync off)
+start_server oracle --wal-dir "$WORK/oracle-wal" --fsync off
+ORACLE_PORT=$(cat "$WORK/oracle.port")
 "$LOADGEN" --port "$ORACLE_PORT" --write-relation stream \
   --stream-mutations "$ROWS" > /dev/null
 "$LOADGEN" --port "$ORACLE_PORT" --dump-rows stream > "$WORK/oracle.rows"
@@ -113,8 +128,9 @@ echo "== phase 5: views survive kill -9 (kViewDef replay + rebuild)"
   }
 "$LOADGEN" --port "$PORT" --write-relation stream \
   --stream-mutations $((ROWS + 200)) > /dev/null  # ids 0..ROWS-1 dedup.
-kill -9 "$(cat "$WORK/reborn.pid")" 2>/dev/null || true
-PORT=$(start_server reborn2 --wal-dir "$WORK/wal" --fsync always)
+kill_server reborn
+start_server reborn2 --wal-dir "$WORK/wal" --fsync always
+PORT=$(cat "$WORK/reborn2.port")
 grep -q "views_rebuilt=1" "$WORK/reborn2.err" || {
   echo "FAIL: recovery did not rebuild the registered view" >&2
   cat "$WORK/reborn2.out" >&2
